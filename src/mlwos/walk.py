@@ -13,10 +13,15 @@ Directions are unit vectors from normalized Box-Muller gaussian draws, so
 every path step consumes a fixed number of counter positions. Consequence:
 a walk's trajectory depends only on its key, never on thread count, batch
 membership, or execution order.
+
+The engine (``_walk_chunk``) runs a wavefront: a fixed-width set of walks
+in flight, advanced together, drawing their lanes in strides aligned to
+whole Philox blocks, with finished walks replaced by the next sample index.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -47,18 +52,27 @@ __all__ = [
 # pathological; turning it into an error keeps hangs diagnosable.
 DEFAULT_MAX_STEPS = 10_000_000
 
-# Fixed batch width for the vectorized engine. Results are assembled by
-# sample index, so this is a throughput knob only; it must stay constant to
-# keep artifacts byte-stable across releases of the same version.
-_CHUNK = 4096
+# Walks in flight per wavefront. Outputs do not depend on it: each walk
+# draws only from its own stream and writes only its own output row. It
+# trades per-call numpy overhead and thread scaling against peak memory.
+# Wider means fewer numpy calls per walk step, and enough work in each for
+# threads to overlap between interpreter-lock handoffs; a call is split
+# across threads only when each thread gets a full width. Narrower means
+# smaller per-step temporaries; the allocator keeps freed ones, so peak RSS
+# grows with the width. On a 2-core host, 2 threads at 8192 ran no faster
+# than 1; at 16384 they ran faster, for 2 MB more peak RSS (49 MB on the
+# 3-D MEAS benchmark workload).
+_WIDTH = 16384
 
-# Philox4x64-10 round and Weyl constants.
-_M0 = np.uint64(0xD2E7470EE14C6C93)
-_M1 = np.uint64(0xCA5A826395121157)
-_W0 = np.uint64(0x9E3779B97F4A7C15)
-_W1 = np.uint64(0xBB67AE8584CAA73B)
+# Philox4x64-10 round multipliers and Weyl key increments, one row per word
+# pair: a round multiplies counter words 0 and 2 as one (2, ...) array,
+# which halves the number of numpy calls per block.
+_MUL = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_WEYL = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
+_MUL_HI = _MUL >> _S32
+_MUL_LO = _MUL & _MASK32
 _S11 = np.uint64(11)
 _U64ONE = np.uint64(1)
 
@@ -72,16 +86,33 @@ def _u64(value: int) -> np.uint64:
     return np.array(value, dtype=np.uint64)[()]
 
 
-def _mulhilo(a, b):
-    lo = a * b
-    ahi = a >> _S32
-    alo = a & _MASK32
-    bhi = b >> _S32
-    blo = b & _MASK32
-    t = ahi * blo + ((alo * blo) >> _S32)
-    w = alo * bhi + (t & _MASK32)
-    hi = ahi * bhi + (t >> _S32) + (w >> _S32)
-    return hi, lo
+def _philox_round(a, b, key, mul, mul_hi, mul_lo):
+    """One Philox4x64 round on rows a = (c0, c2) and b = (c1, c3).
+
+    Rows of ``a`` are multiplied by the rows of ``mul``; the 128-bit
+    products are built from 32-bit halves. Overwrites ``a``, which keeps
+    the number of live (2, ...) temporaries at six.
+    """
+    lo = mul * a
+    hi = a >> _S32
+    a &= _MASK32  # a: low halves
+    t = mul_lo * a
+    t >>= _S32
+    a *= mul_hi
+    t += a
+    w = mul_lo * hi
+    np.bitwise_and(t, _MASK32, out=a)
+    w += a
+    hi *= mul_hi
+    t >>= _S32
+    hi += t
+    w >>= _S32
+    hi += w
+    # c0 <- hi(c2) ^ c1 ^ k0, c1 <- lo(c2), c2 <- hi(c0) ^ c3 ^ k1, c3 <- lo(c0)
+    hi = hi[::-1]
+    hi ^= b
+    hi ^= key
+    return hi, lo[::-1]
 
 
 def philox4x64(c0, c1, c2, c3, k0, k1):
@@ -89,18 +120,19 @@ def philox4x64(c0, c1, c2, c3, k0, k1):
 
     Arguments broadcast; uint64 wraparound is the intended arithmetic.
     """
-    err = np.seterr(over="ignore")
-    try:
-        for rnd in range(10):
-            if rnd > 0:
-                k0 = k0 + _W0
-                k1 = k1 + _W1
-            hi0, lo0 = _mulhilo(_M0, c0)
-            hi1, lo1 = _mulhilo(_M1, c2)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    finally:
-        np.seterr(**err)
-    return c0, c1, c2, c3
+    shape = np.broadcast_shapes(np.shape(c0), np.shape(c1), np.shape(c2), np.shape(c3))
+    col = (2,) + (1,) * len(shape)
+    mul, mul_hi, mul_lo = _MUL.reshape(col), _MUL_HI.reshape(col), _MUL_LO.reshape(col)
+    weyl = _WEYL.reshape(col)
+    key = np.array([k0, k1], dtype=np.uint64).reshape(col)
+    a = np.empty((2,) + shape, dtype=np.uint64)
+    b = np.empty_like(a)
+    a[0], a[1], b[0], b[1] = c0, c2, c1, c3
+    for rnd in range(10):
+        if rnd > 0:
+            key = key + weyl
+        a, b = _philox_round(a, b, key, mul, mul_hi, mul_lo)
+    return a[0], b[0], a[1], b[1]
 
 
 @dataclass(frozen=True)
@@ -136,40 +168,43 @@ def _key_words(master_seed: int, context: int, level: int):
 
 
 def _raw_lanes(k0, k1, words, j0, n):
-    """Uniform uint64 lanes [j0, j0+n) for each stream word in ``words``.
+    """Uniform uint64 lanes [j0, j0+n) of each stream word in ``words``, as
+    an (n, rows) array: lane ``j0[r] + i`` of stream ``words[r]`` at [i, r].
 
     Lane j lives in Philox block j//4 at position j%4; blocks are generated
-    in one vectorized call over a (rows, blocks) counter grid.
+    in one vectorized call over a (blocks, rows) counter grid.
     """
     rows = len(words)
     j0 = np.broadcast_to(np.asarray(j0, dtype=np.int64), (rows,))
     start = j0 % 4
     nblk = (int(start.max(initial=0)) + n + 3) // 4
-    c0 = ((j0 // 4)[:, None] + np.arange(nblk, dtype=np.int64)).astype(np.uint64)
-    zero = np.zeros_like(c0)
-    o0, o1, o2, o3 = philox4x64(c0, words[:, None], zero, zero, k0, k1)
-    lanes = np.empty((rows, 4 * nblk), dtype=np.uint64)
-    lanes[:, 0::4] = o0
-    lanes[:, 1::4] = o1
-    lanes[:, 2::4] = o2
-    lanes[:, 3::4] = o3
-    idx = start[:, None] + np.arange(n)[None, :]
-    return np.take_along_axis(lanes, idx, axis=1)
+    c0 = (np.arange(nblk, dtype=np.int64)[:, None] + j0 // 4).astype(np.uint64)
+    zero = _u64(0)
+    block = philox4x64(c0, words, zero, zero, k0, k1)
+    lanes = np.empty((nblk, 4, rows), dtype=np.uint64)
+    for q in range(4):
+        lanes[:, q] = block[q]
+    lanes = lanes.reshape(4 * nblk, rows)
+    if n == 4 * nblk:  # every row starts on a block boundary
+        return lanes
+    idx = start + np.arange(n)[:, None]
+    return np.take_along_axis(lanes, idx, axis=0)
 
 
 def _lanes_to_normals(lanes):
-    """Box-Muller on consecutive lane pairs; fixed two-lanes-per-normal-pair.
+    """Box-Muller on consecutive lane pairs along the first axis; fixed
+    two-lanes-per-normal-pair.
 
     Even lanes feed the radial log term via the (0,1] mapping, odd lanes the
     angle via [0,1).
     """
-    u_log = ((lanes[..., 0::2] >> _S11) + _U64ONE) * _INV53
-    u_ang = (lanes[..., 1::2] >> _S11) * _INV53
+    u_log = ((lanes[0::2] >> _S11) + _U64ONE) * _INV53
+    u_ang = (lanes[1::2] >> _S11) * _INV53
     r = np.sqrt(-2.0 * np.log(u_log))
     theta = _TWOPI * u_ang
-    out = np.empty(lanes.shape[:-1] + (lanes.shape[-1],), dtype=np.float64)
-    out[..., 0::2] = r * np.cos(theta)
-    out[..., 1::2] = r * np.sin(theta)
+    out = np.empty(lanes.shape, dtype=np.float64)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
     return out
 
 
@@ -177,22 +212,22 @@ def _lanes_per_direction(dim: int) -> int:
     return 2 * ((dim + 1) // 2)
 
 
-def _directions(dim, k0, k1, words, j0):
-    """One unit direction per stream word, consuming the lanes at ``j0``."""
-    lanes = _raw_lanes(k0, k1, words, j0, _lanes_per_direction(dim))
-    g = _lanes_to_normals(lanes)[:, :dim]
-    n2 = g[:, 0] * g[:, 0]
+def _directions(dim, lanes):
+    """One unit direction per column of ``lanes`` (lanes per direction,
+    rows), returned as a (rows, dim) view."""
+    g = _lanes_to_normals(lanes)[:dim]
+    n2 = g[0] * g[0]
     for j in range(1, dim):
-        n2 = n2 + g[:, j] * g[:, j]
+        n2 = n2 + g[j] * g[j]
     norm = np.sqrt(n2)
     # A zero gaussian vector has probability ~2^-53 per draw; fall back to
     # the first axis deterministically rather than divide by zero.
     degenerate = norm == 0.0
     if np.any(degenerate):
-        g[degenerate] = 0.0
-        g[degenerate, 0] = 1.0
+        g[:, degenerate] = 0.0
+        g[0, degenerate] = 1.0
         norm = np.where(degenerate, 1.0, norm)
-    return g / norm[:, None]
+    return (g / norm).T
 
 
 class Stream:
@@ -212,19 +247,20 @@ class Stream:
         """Next ``n`` uniforms on [0, 1)."""
         lanes = _raw_lanes(self._k0, self._k1, self._word, self.pos, int(n))
         self.pos += int(n)
-        return (lanes[0] >> _S11) * _INV53
+        return (lanes[:, 0] >> _S11) * _INV53
 
     def normals(self, n: int) -> np.ndarray:
         """Next ``n`` standard gaussians (consumes lanes in whole pairs)."""
         pairs = (int(n) + 1) // 2
         lanes = _raw_lanes(self._k0, self._k1, self._word, self.pos, 2 * pairs)
         self.pos += 2 * pairs
-        return _lanes_to_normals(lanes)[0, : int(n)]
+        return _lanes_to_normals(lanes)[: int(n), 0]
 
     def direction(self, dim: int) -> np.ndarray:
         """Next uniform unit vector on the (dim-1)-sphere."""
-        g = _directions(dim, self._k0, self._k1, self._word, self.pos)
-        self.pos += _lanes_per_direction(dim)
+        n = _lanes_per_direction(dim)
+        g = _directions(dim, _raw_lanes(self._k0, self._k1, self._word, self.pos, n))
+        self.pos += n
         return g[0]
 
 
@@ -241,16 +277,23 @@ def uniform_direction(d: int, stream: Stream) -> np.ndarray:
 
 
 class StepLimitExceeded(RuntimeError):
-    """A path exceeded ``max_steps``; carries the offending sample."""
+    """A walk exceeded ``max_steps``; ``key`` is the stream it drew from.
 
-    def __init__(self, max_steps: int, sample_index: int, level: Optional[int] = None):
+    ``run_many`` reports the lowest sample index whose walk exceeds the
+    limit, whatever the width and thread count.
+    """
+
+    def __init__(self, max_steps: int, key: StreamKey):
         self.max_steps = max_steps
-        self.sample_index = sample_index
-        self.level = level
-        where = f" on level {level}" if level is not None else ""
+        self.key = key
+        self.master_seed = key.master_seed
+        self.context = key.context
+        self.level = key.level
+        self.sample_index = key.sample_index
         super().__init__(
-            f"walk for sample {sample_index}{where} exceeded {max_steps} steps; "
-            f"the stopping width may be unreachable"
+            f"walk of stream (master_seed={key.master_seed}, context={key.context}, "
+            f"level={key.level}, sample_index={key.sample_index}) exceeded {max_steps} "
+            f"steps; the stopping width may be unreachable"
         )
 
 
@@ -307,50 +350,91 @@ def _check_thresholds(domain: Domain, x0: np.ndarray, thresholds) -> np.ndarray:
     return thr
 
 
-def _walk_chunk(domain, x0, thr, k0, k1, words, offsets, max_steps, level, trace=False):
-    """Advance a batch of walks until every one has crossed every threshold.
+def _walk_chunk(domain, x0, thr, key, count, offset, max_steps, stops, steps, trace=False):
+    """Run the walks of samples ``key.sample_index`` to ``+ count - 1`` as
+    one wavefront.
 
-    Per step, each active walk jumps its current boundary distance in a fresh
-    uniform direction drawn from its own stream. Returns recorded positions
-    and step counts per threshold, plus the per-step position history when
-    tracing.
+    At most ``_WIDTH`` walks are in flight, in ascending sample order. Each
+    iteration draws one stride of lanes per walk, a whole number of Philox
+    blocks (two steps per block in 2-D), then advances the walks one
+    sub-step at a time: jump the current boundary distance in the step's
+    direction, record every threshold crossed, drop walks past the last
+    one. Finished slots are refilled with the next samples at the stride
+    boundary. Step ``t`` of every walk uses lanes ``offset + t*L`` to
+    ``offset + (t+1)*L - 1`` of its stream (``L`` lanes per direction).
+
+    Sample ``key.sample_index + i`` writes column ``i`` of ``stops``
+    (nthr, count, dim) and ``steps`` (nthr, count). With ``trace`` (one
+    walk), returns its position after every step, the start included.
     """
-    n = words.size
     dim = domain.dim
     nthr = thr.size
     lanes_per_step = _lanes_per_direction(dim)
+    stride = math.lcm(lanes_per_step, 4) // lanes_per_step
+    k0, k1 = _key_words(key.master_seed, key.context, key.level)
+    first = _u64(key.sample_index)
+    d0 = max(float(domain._dist(x0[None, :])[0]), 0.0)
+    # A walk past its last threshold compares against -inf: no more hits.
+    thr_next = np.append(thr, -np.inf)
+    width = min(_WIDTH, count)
 
-    pos = np.tile(x0, (n, 1))
-    dist = np.maximum(domain._dist(pos), 0.0)
-    rec_pos = np.zeros((nthr, n, dim))
-    rec_steps = np.zeros((nthr, n), dtype=np.int64)
-    ptr = np.zeros(n, dtype=np.int64)
-    alive = np.arange(n)
-    history = [pos.copy()] if trace else None
-    thr_guard = np.minimum(np.arange(nthr + 1), nthr - 1)
-
-    t = 0
-    while alive.size:
-        if t >= max_steps:
-            raise StepLimitExceeded(max_steps, int(words[alive[0]]), level)
-        g = _directions(dim, k0, k1, words[alive], offsets[alive] + t * lanes_per_step)
-        pos[alive] += dist[alive][:, None] * g
-        t += 1
-        dist[alive] = np.maximum(domain._dist(pos[alive]), 0.0)
-        if trace:
-            history.append(pos.copy())
-        # One jump can cross several widths at once; record them all at the
-        # same position, which realizes the first-crossing rule per width.
-        while True:
-            hit = (ptr[alive] < nthr) & (dist[alive] < thr[thr_guard[ptr[alive]]])
-            if not hit.any():
+    # One entry per walk in flight, in ascending sample order; positions
+    # are stored coordinate-major, (dim, walks), so every numpy call runs
+    # along the walks.
+    idx = np.empty(0, dtype=np.int64)  # output column
+    pos = np.empty((dim, 0))
+    dist = np.empty(0)
+    entry = np.empty(0, dtype=np.int64)  # value of ``now`` when it started
+    ptr = np.empty(0, dtype=np.int64)  # thresholds crossed
+    now = 0  # sub-steps taken by the wavefront
+    history = [x0.copy()] if trace else None
+    filled = 0
+    while True:
+        new = min(width - idx.size, count - filled)
+        if new:
+            idx = np.concatenate([idx, np.arange(filled, filled + new)])
+            pos = np.concatenate([pos, np.broadcast_to(x0[:, None], (dim, new))], axis=1)
+            dist = np.concatenate([dist, np.full(new, d0)])
+            entry = np.concatenate([entry, np.full(new, now)])
+            ptr = np.concatenate([ptr, np.zeros(new, dtype=np.int64)])
+            filled += new
+        if not idx.size:
+            return history
+        lanes = _raw_lanes(
+            k0, k1, first + idx.astype(np.uint64), offset + (now - entry) * lanes_per_step,
+            stride * lanes_per_step,
+        )
+        for _ in range(stride):
+            if now - entry[0] >= max_steps:
+                # The first walk in flight is the oldest and has the lowest
+                # sample index, so it is the lowest that exceeds the limit.
+                bad = key.sample_index + int(idx[0])
+                raise StepLimitExceeded(max_steps, dataclasses.replace(key, sample_index=bad))
+            g = _directions(dim, lanes[:lanes_per_step]).T
+            lanes = lanes[lanes_per_step:]
+            pos += dist * g
+            now += 1
+            dist = np.maximum(domain._dist(pos.T), 0.0)
+            if trace:
+                history.append(pos[:, 0].copy())
+            # One jump can cross several widths at once; record them all at
+            # the same position, which realizes the first-crossing rule.
+            hit = np.flatnonzero(dist < thr_next[ptr])
+            if not hit.size:
+                continue
+            while hit.size:
+                k, col = ptr[hit], idx[hit]
+                stops[k, col] = pos[:, hit].T
+                steps[k, col] = now - entry[hit]
+                ptr[hit] = k + 1
+                hit = hit[dist[hit] < thr_next[k + 1]]
+            keep = np.flatnonzero(ptr < nthr)
+            if keep.size == idx.size:
+                continue
+            idx, dist, entry, ptr = idx[keep], dist[keep], entry[keep], ptr[keep]
+            pos, lanes = pos.take(keep, axis=1), lanes.take(keep, axis=1)
+            if not idx.size:
                 break
-            rows = alive[hit]
-            rec_pos[ptr[rows], rows] = pos[rows]
-            rec_steps[ptr[rows], rows] = t
-            ptr[rows] += 1
-        alive = alive[ptr[alive] < nthr]
-    return rec_pos, rec_steps, history
 
 
 def run_many(
@@ -370,37 +454,35 @@ def run_many(
     Sample ``i`` draws from the stream keyed by
     ``StreamKey(master_seed, context, level, start_index + i)``; results are
     written to slots in sample-index order, so the output is bitwise
-    reproducible for any ``threads``.
+    reproducible for any ``threads``. With ``threads > 1`` the samples are
+    split into contiguous ranges, one wavefront each, but only into as many
+    as hold a full ``_WIDTH`` of walks.
     """
     x0 = as_point(x0, domain.dim)
     thr = _check_thresholds(domain, x0, thresholds)
     if count < 1:
         raise ValueError("count must be positive")
     StreamKey(master_seed, context, level, start_index + count - 1)  # range check
-    k0, k1 = _key_words(master_seed, context, level)
 
     nthr = thr.size
     stops = np.empty((nthr, count, domain.dim))
     steps = np.empty((nthr, count), dtype=np.int64)
-    spans = [(lo, min(lo + _CHUNK, count)) for lo in range(0, count, _CHUNK)]
+    parts = max(1, min(threads, count // _WIDTH))
+    bounds = [count * i // parts for i in range(parts + 1)]
 
-    def work(span):
-        lo, hi = span
-        words = np.arange(start_index + lo, start_index + hi, dtype=np.uint64)
-        offsets = np.zeros(hi - lo, dtype=np.int64)
-        rec_pos, rec_steps, _ = _walk_chunk(
-            domain, x0, thr, k0, k1, words, offsets, max_steps, level
+    def work(lo, hi):
+        key = StreamKey(master_seed, context, level, start_index + lo)
+        _walk_chunk(
+            domain, x0, thr, key, hi - lo, 0, max_steps, stops[:, lo:hi], steps[:, lo:hi]
         )
-        return lo, hi, rec_pos, rec_steps
 
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, spans))
+    if parts > 1:
+        with ThreadPoolExecutor(max_workers=parts) as pool:
+            # Results are read in range order, so the lowest range's
+            # StepLimitExceeded is the one raised.
+            list(pool.map(work, bounds[:-1], bounds[1:]))
     else:
-        results = [work(s) for s in spans]
-    for lo, hi, rec_pos, rec_steps in results:
-        stops[:, lo:hi] = rec_pos
-        steps[:, lo:hi] = rec_steps
+        work(0, count)
 
     exits = np.empty_like(stops)
     for k in range(nthr):
@@ -408,27 +490,27 @@ def run_many(
     return BatchResult(tuple(thr.tolist()), stops, exits, steps)
 
 
-def _single(domain, x0, thr, stream, max_steps, trace, level=None):
+def _single(domain, x0, thr, stream, max_steps, trace):
     x0 = as_point(x0, domain.dim)
     thr = _check_thresholds(domain, x0, thr)
-    words = np.array([stream.key.sample_index], dtype=np.uint64)
-    offsets = np.array([stream.pos], dtype=np.int64)
-    rec_pos, rec_steps, history = _walk_chunk(
-        domain, x0, thr, stream._k0, stream._k1, words, offsets, max_steps, level, trace
+    stops = np.empty((thr.size, 1, domain.dim))
+    steps = np.empty((thr.size, 1), dtype=np.int64)
+    history = _walk_chunk(
+        domain, x0, thr, stream.key, 1, stream.pos, max_steps, stops, steps, trace
     )
-    stream.pos += int(rec_steps[-1, 0]) * _lanes_per_direction(domain.dim)
+    stream.pos += int(steps[-1, 0]) * _lanes_per_direction(domain.dim)
     results = []
     for k in range(thr.size):
-        stop = rec_pos[k, 0]
+        stop = stops[k, 0]
         results.append(
             WalkResult(
                 stop_point=stop,
                 exit_point=domain._proj(stop[None, :])[0],
-                steps=int(rec_steps[k, 0]),
+                steps=int(steps[k, 0]),
             )
         )
     if trace:
-        results[-1].trace = np.stack([h[0] for h in history])
+        results[-1].trace = np.stack(history)
     return results
 
 

@@ -1,7 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mlwos.geometry import Ball, Square, ball_problem, square_problem
+from mlwos import walk
+from mlwos.geometry import Ball, Hemisphere, Square, ball_problem, square_problem
 from mlwos.walk import (
     StepLimitExceeded,
     Stream,
@@ -16,6 +21,37 @@ from mlwos.walk import (
 )
 
 SQUARE = Square()
+
+# (domain, start) pairs covering every stride shape: 1-d and 2-d take two
+# steps per Philox block, 3-d one, 5-d two steps per three blocks.
+CASES = st.sampled_from([
+    (Ball(1), (0.3,)),
+    (SQUARE, (0.7, 1.2)),
+    (Hemisphere(), (0.2, 0.3, 0.1)),
+    (Ball(5), (0.3, 0.0, 0.1, 0.0, 0.0)),
+])
+# Stopping widths as fractions of the start distance; the fixed values make
+# equal consecutive widths likely.
+FRACTIONS = st.lists(
+    st.sampled_from([0.5, 0.1, 0.02]) | st.floats(0.002, 0.9), min_size=1, max_size=3
+)
+SEEDS = st.integers(0, 2 ** 64 - 1)
+PROPERTY = settings(max_examples=50, deadline=None)
+
+
+def _thresholds(domain, x0, fractions):
+    d0 = domain.distance_to_boundary(x0)
+    return sorted((f * d0 for f in fractions), reverse=True)
+
+
+def _width(width):
+    """Run the engine with ``width`` walks in flight per wavefront."""
+    return mock.patch.object(walk, "_WIDTH", width)
+
+
+def _assert_same(a, b):
+    np.testing.assert_array_equal(a.stops, b.stops)
+    np.testing.assert_array_equal(a.steps, b.steps)
 
 
 def _u64(v):
@@ -141,7 +177,24 @@ class TestWosWalk:
     def test_step_limit_signals_sample(self):
         with pytest.raises(StepLimitExceeded) as err:
             run_many(SQUARE, (1.0, 1.0), [1e-8], master_seed=0, start_index=40, count=4, max_steps=3)
-        assert err.value.sample_index >= 40
+        assert err.value.sample_index == 40
+        assert err.value.key == StreamKey(0, 0, 0, 40)
+
+    @pytest.mark.parametrize("width", [5, 64, walk._WIDTH])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_step_limit_reports_lowest_failing_sample(self, width, threads):
+        args = dict(master_seed=3, context=7, level=2, start_index=101, count=300)
+        ref = run_many(SQUARE, (1.0, 1.0), [1e-2], **args)
+        failing = np.flatnonzero(ref.steps[-1] > 16)
+        # Sample 0 finishes, and failures lie in every range of a 3-way split.
+        assert failing[0] > 0
+        assert np.array_equal(np.unique(failing // 100), [0, 1, 2])
+        with _width(width), pytest.raises(StepLimitExceeded) as err:
+            run_many(SQUARE, (1.0, 1.0), [1e-2], max_steps=16, threads=threads, **args)
+        assert err.value.key == StreamKey(3, 7, 2, 101 + int(failing[0]))
+        assert (err.value.master_seed, err.value.context, err.value.level) == (3, 7, 2)
+        assert err.value.sample_index == 101 + int(failing[0])
+        assert err.value.max_steps == 16
 
     def test_value_filled_from_bc(self):
         prob = ball_problem(2)
@@ -172,11 +225,24 @@ class TestWalkInvariants:
         assert np.all(dists[:-1] >= 1e-3)  # still outside the shell pre-jump
         assert np.all(dists >= 0.0)
 
-    def test_determinism_across_thread_counts(self):
-        runs = [
-            run_many(SQUARE, (1.0, 1.0), [1e-2], master_seed=21, count=5000, threads=t)
-            for t in (1, 4, 8)
-        ]
+    def test_determinism_across_thread_counts(self, monkeypatch):
+        # 5000 walks at width 512 split into as many ranges as threads.
+        monkeypatch.setattr(walk, "_WIDTH", 512)
+        ranges = []
+        engine = walk._walk_chunk
+
+        def counted(*args, **kwargs):
+            ranges.append(args[4])
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(walk, "_walk_chunk", counted)
+        runs = []
+        for t in (1, 4, 8):
+            ranges.clear()
+            runs.append(
+                run_many(SQUARE, (1.0, 1.0), [1e-2], master_seed=21, count=5000, threads=t)
+            )
+            assert len(ranges) == t and sum(ranges) == 5000
         for other in runs[1:]:
             np.testing.assert_array_equal(runs[0].stops, other.stops)
             np.testing.assert_array_equal(runs[0].steps, other.steps)
@@ -206,6 +272,91 @@ class TestWalkInvariants:
         ss_tot = float(np.sum((means - np.mean(means)) ** 2))
         assert slope > 0.0
         assert 1.0 - ss_res / ss_tot > 0.95
+
+
+class TestEngineProperties:
+    """Outputs depend only on each sample's stream key: not on the width,
+    the thread count, how a sample range is split, or which other widths
+    the walk is recorded at."""
+
+    @PROPERTY
+    @given(case=CASES, fractions=FRACTIONS, count=st.integers(1, 150),
+           width=st.sampled_from([1, 5, 64]), threads=st.sampled_from([1, 3]), seed=SEEDS)
+    def test_width_invariance(self, case, fractions, count, width, threads, seed):
+        domain, x0 = case
+        thr = _thresholds(domain, x0, fractions)
+        whole = run_many(domain, x0, thr, master_seed=seed, count=count)
+        with _width(width):
+            refilled = run_many(domain, x0, thr, master_seed=seed, count=count, threads=threads)
+        _assert_same(whole, refilled)
+
+    @PROPERTY
+    @given(case=CASES, fractions=FRACTIONS, count=st.integers(1, 120),
+           width=st.sampled_from([5, 64]), seed=SEEDS)
+    def test_thread_count_invariance(self, case, fractions, count, width, seed):
+        domain, x0 = case
+        thr = _thresholds(domain, x0, fractions)
+        with _width(width):
+            runs = [
+                run_many(domain, x0, thr, master_seed=seed, count=count, threads=t)
+                for t in (1, 2, 3)
+            ]
+        for other in runs[1:]:
+            _assert_same(runs[0], other)
+
+    @PROPERTY
+    @given(case=CASES, fractions=FRACTIONS, a=st.integers(1, 80), b=st.integers(1, 80),
+           start=st.integers(0, 2 ** 40), width=st.sampled_from([5, 64]),
+           threads=st.sampled_from([1, 2]), seed=SEEDS)
+    def test_range_splitting(self, case, fractions, a, b, start, width, threads, seed):
+        domain, x0 = case
+        thr = _thresholds(domain, x0, fractions)
+        args = dict(master_seed=seed, context=3, level=1, threads=threads)
+        with _width(width):
+            whole = run_many(domain, x0, thr, start_index=start, count=a + b, **args)
+            head = run_many(domain, x0, thr, start_index=start, count=a, **args)
+            tail = run_many(domain, x0, thr, start_index=start + a, count=b, **args)
+        np.testing.assert_array_equal(whole.stops, np.concatenate([head.stops, tail.stops], 1))
+        np.testing.assert_array_equal(whole.steps, np.concatenate([head.steps, tail.steps], 1))
+
+    @PROPERTY
+    @given(case=CASES, fractions=FRACTIONS, count=st.integers(1, 100),
+           width=st.sampled_from([5, 64]), seed=SEEDS)
+    def test_prefix_property(self, case, fractions, count, width, seed):
+        domain, x0 = case
+        thr = _thresholds(domain, x0, fractions)
+        with _width(width):
+            batch = run_many(domain, x0, thr, master_seed=seed, count=count, threads=2)
+            for k, eps in enumerate(thr):
+                alone = run_many(domain, x0, [eps], master_seed=seed, count=count)
+                np.testing.assert_array_equal(batch.stops[k], alone.stops[0])
+                np.testing.assert_array_equal(batch.steps[k], alone.steps[0])
+        assert np.all(np.diff(batch.steps, axis=0) >= 0)
+
+    @PROPERTY
+    @given(case=CASES, offset=st.integers(0, 11), fraction=st.floats(0.01, 0.9),
+           index=st.integers(0, 2 ** 64 - 1), seed=SEEDS)
+    def test_single_walk_at_any_lane_offset(self, case, offset, fraction, index, seed):
+        """A walk started mid-stream matches one built step by step from
+        ``Stream.direction``, whether or not the offset is block aligned."""
+        domain, x0 = case
+        eps = fraction * domain.distance_to_boundary(x0)
+        key = StreamKey(seed, context=2, level=5, sample_index=index)
+        walked, stepped = derive_stream(key), derive_stream(key)
+        if offset:
+            walked.uniforms(offset)
+            stepped.uniforms(offset)
+        res = wos_walk(domain, x0, eps, stream=walked)
+        pos = np.asarray(x0, dtype=np.float64)
+        dist = domain._dist(pos[None, :])[0]
+        steps = 0
+        while dist >= eps:
+            pos = pos + dist * stepped.direction(domain.dim)
+            dist = max(domain._dist(pos[None, :])[0], 0.0)
+            steps += 1
+        np.testing.assert_array_equal(res.stop_point, pos)
+        assert res.steps == steps
+        assert walked.pos == stepped.pos
 
 
 class TestMlPair:
