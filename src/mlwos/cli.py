@@ -64,6 +64,8 @@ class RunConfig:
             raise ValueError("--eta must exceed 1")
         if self.threads is not None and self.threads < 1:
             raise ValueError("--threads must be at least 1")
+        if self.threads is None:
+            estimator.resolve_threads(None)  # rejects a malformed MLWOS_THREADS
         if self.reps < 1:
             raise ValueError("--reps must be at least 1")
         if self.warmup < 2:

@@ -60,14 +60,24 @@ def _context_word(context_base: int, sub: int) -> int:
 
 
 def resolve_threads(threads: Optional[int]) -> int:
-    """Explicit value, else MLWOS_THREADS, else the machine core count."""
+    """Explicit value, else MLWOS_THREADS, else the machine core count.
+
+    Raises ValueError for a count below 1 and for an MLWOS_THREADS that is
+    not an integer.
+    """
     if threads is not None:
         if threads < 1:
             raise ValueError("threads must be at least 1")
         return int(threads)
     env = os.environ.get("MLWOS_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            value = int(env)
+        except ValueError:
+            raise ValueError(f"MLWOS_THREADS must be an integer, got {env!r}") from None
+        if value < 1:
+            raise ValueError(f"MLWOS_THREADS must be at least 1, got {value}")
+        return value
     return os.cpu_count() or 1
 
 

@@ -111,17 +111,17 @@ class Square(Domain):
         return np.minimum(np.minimum(x, 2.0 - x), np.minimum(y, 2.0 - y))
 
     def _proj(self, pts):
-        x = pts[:, 0]
-        y = pts[:, 1]
-        # Candidate edges ordered by axis so argmin tie-breaking prefers the
-        # smallest axis index.
-        cand = np.stack([x, 2.0 - x, y, 2.0 - y], axis=1)
-        k = np.argmin(cand, axis=1)
+        # Per axis, the gap to the nearer edge and whether that edge is at
+        # 2; then the axis with the smaller gap. Ties go to the edge at 0
+        # and to the x axis: the first of (x, 2 - x, y, 2 - y) at the minimum.
+        gap = 2.0 - pts
+        far = gap < pts
+        np.minimum(pts, gap, out=gap)
+        on_x = gap[:, 0] <= gap[:, 1]
         out = pts.copy()
-        out[k == 0, 0] = 0.0
-        out[k == 1, 0] = 2.0
-        out[k == 2, 1] = 0.0
-        out[k == 3, 1] = 2.0
+        np.multiply(far, 2.0, out=gap)
+        np.copyto(out[:, 0], gap[:, 0], where=on_x)
+        np.copyto(out[:, 1], gap[:, 1], where=~on_x)
         return out
 
 

@@ -17,6 +17,8 @@ membership, or execution order.
 The engine (``_walk_chunk``) runs a wavefront: a fixed-width set of walks
 in flight, advanced together, drawing their lanes in strides aligned to
 whole Philox blocks, with finished walks replaced by the next sample index.
+Once no samples are left to refill, each draw covers up to twice as many
+strides as the one before, so a call's tail takes few draws.
 """
 
 from __future__ import annotations
@@ -52,13 +54,16 @@ __all__ = [
 # pathological; turning it into an error keeps hangs diagnosable.
 DEFAULT_MAX_STEPS = 10_000_000
 
-# Walks in flight per wavefront. Outputs do not depend on it: each walk
+# Walks in flight per wavefront. A call's width, min(_WIDTH, count), also
+# caps a tail draw (one made when no samples are left to refill) at that
+# many strides summed over the walks in flight, so no draw holds more lanes
+# than the call's first stride. Outputs do not depend on it: each walk
 # draws only from its own stream and writes only its own output row. It
 # trades per-call numpy overhead and thread scaling against peak memory.
 # Wider means fewer numpy calls per walk step, and enough work in each for
 # threads to overlap between interpreter-lock handoffs; a call is split
 # across threads only when each thread gets a full width. Narrower means
-# smaller per-step temporaries; the allocator keeps freed ones, so peak RSS
+# smaller per-draw temporaries; the allocator keeps freed ones, so peak RSS
 # grows with the width. On a 2-core host, 2 threads at 8192 ran no faster
 # than 1; at 16384 they ran faster, for 2 MB more peak RSS (49 MB on the
 # 3-D MEAS benchmark workload).
@@ -191,20 +196,36 @@ def _raw_lanes(k0, k1, words, j0, n):
     return np.take_along_axis(lanes, idx, axis=0)
 
 
-def _lanes_to_normals(lanes):
-    """Box-Muller on consecutive lane pairs along the first axis; fixed
-    two-lanes-per-normal-pair.
+def _lanes_to_normals(lanes, dim):
+    """Box-Muller gaussians for directions in ``dim`` dimensions, as a
+    (dim, steps, rows) array.
 
-    Even lanes feed the radial log term via the (0,1] mapping, odd lanes the
-    angle via [0,1).
+    ``lanes`` is (steps * L, rows), ``L`` lanes per direction: step ``t`` of
+    column ``r`` takes lanes ``t*L`` to ``t*L + L - 1``. ``L`` is even, so
+    every lane pair lies within one step. Pair ``p`` of a step gives its
+    coordinates ``2p`` (cosine) and ``2p + 1`` (sine): the even lane feeds
+    the radial log term via the (0,1] mapping, the odd lane the angle via
+    [0,1). In odd dimensions the last pair's sine is not used, so it is not
+    computed.
     """
-    u_log = ((lanes[0::2] >> _S11) + _U64ONE) * _INV53
-    u_ang = (lanes[1::2] >> _S11) * _INV53
-    r = np.sqrt(-2.0 * np.log(u_log))
-    theta = _TWOPI * u_ang
-    out = np.empty(lanes.shape, dtype=np.float64)
-    out[0::2] = r * np.cos(theta)
-    out[1::2] = r * np.sin(theta)
+    half = _lanes_per_direction(dim) // 2
+    rows = lanes.shape[-1]
+    pairs = lanes.reshape(-1, half, 2, rows)
+    r = ((pairs[:, :, 0] >> _S11) + _U64ONE) * _INV53
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = (pairs[:, :, 1] >> _S11) * _INV53
+    theta *= _TWOPI
+    # Coordinates first, so the (dim, steps * rows) result is contiguous.
+    out = np.empty((dim, pairs.shape[0], rows))
+    r, theta = r.transpose(1, 0, 2), theta.transpose(1, 0, 2)
+    cos, sin = out[0::2], out[1::2]
+    np.cos(theta, out=cos)
+    cos *= r
+    if dim > 1:
+        np.sin(theta[: dim // 2], out=sin)
+        sin *= r[: dim // 2]
     return out
 
 
@@ -213,21 +234,23 @@ def _lanes_per_direction(dim: int) -> int:
 
 
 def _directions(dim, lanes):
-    """One unit direction per column of ``lanes`` (lanes per direction,
-    rows), returned as a (rows, dim) view."""
-    g = _lanes_to_normals(lanes)[:dim]
+    """Unit directions from ``lanes`` (steps * L, rows), returned as a
+    (steps * rows, dim) view: direction ``t * rows + r`` is step ``t`` of
+    column ``r``. Its transpose is contiguous (dim, steps * rows)."""
+    g = _lanes_to_normals(lanes, dim).reshape(dim, -1)
     n2 = g[0] * g[0]
     for j in range(1, dim):
-        n2 = n2 + g[j] * g[j]
-    norm = np.sqrt(n2)
+        n2 += g[j] * g[j]
+    norm = np.sqrt(n2, out=n2)
     # A zero gaussian vector has probability ~2^-53 per draw; fall back to
     # the first axis deterministically rather than divide by zero.
     degenerate = norm == 0.0
     if np.any(degenerate):
         g[:, degenerate] = 0.0
         g[0, degenerate] = 1.0
-        norm = np.where(degenerate, 1.0, norm)
-    return (g / norm).T
+        norm[degenerate] = 1.0
+    g /= norm
+    return g.T
 
 
 class Stream:
@@ -251,10 +274,13 @@ class Stream:
 
     def normals(self, n: int) -> np.ndarray:
         """Next ``n`` standard gaussians (consumes lanes in whole pairs)."""
-        pairs = (int(n) + 1) // 2
+        n = int(n)
+        if n < 1:
+            return np.empty(0)
+        pairs = (n + 1) // 2
         lanes = _raw_lanes(self._k0, self._k1, self._word, self.pos, 2 * pairs)
         self.pos += 2 * pairs
-        return _lanes_to_normals(lanes)[: int(n), 0]
+        return _lanes_to_normals(lanes, n)[:, 0, 0]
 
     def direction(self, dim: int) -> np.ndarray:
         """Next uniform unit vector on the (dim-1)-sphere."""
@@ -355,12 +381,18 @@ def _walk_chunk(domain, x0, thr, key, count, offset, max_steps, stops, steps, tr
     one wavefront.
 
     At most ``_WIDTH`` walks are in flight, in ascending sample order. Each
-    iteration draws one stride of lanes per walk, a whole number of Philox
-    blocks (two steps per block in 2-D), then advances the walks one
-    sub-step at a time: jump the current boundary distance in the step's
-    direction, record every threshold crossed, drop walks past the last
-    one. Finished slots are refilled with the next samples at the stride
-    boundary. Step ``t`` of every walk uses lanes ``offset + t*L`` to
+    iteration draws lanes for every walk in flight in whole strides of
+    Philox blocks (two steps per block in 2-D), turns them into directions
+    in one call, then advances the walks one sub-step at a time: jump the
+    current boundary distance in the step's direction, record every
+    threshold crossed, drop walks past the last one. While samples are left,
+    an iteration draws one stride, and finished slots are refilled with the
+    next samples at the stride boundary. After that (the tail), draws cover
+    1, 2, 4, ... strides, capped so that walks times strides stays within
+    the width. Every draw but a walk's last is used in full, and its last
+    is at most one stride longer than all its earlier draws together, so
+    the lanes drawn stay below twice the lanes used plus one stride per
+    walk. Step ``t`` of every walk uses lanes ``offset + t*L`` to
     ``offset + (t+1)*L - 1`` of its stream (``L`` lanes per direction).
 
     Sample ``key.sample_index + i`` writes column ``i`` of ``stops``
@@ -389,6 +421,7 @@ def _walk_chunk(domain, x0, thr, key, count, offset, max_steps, stops, steps, tr
     now = 0  # sub-steps taken by the wavefront
     history = [x0.copy()] if trace else None
     filled = 0
+    reach = 1  # strides in the next draw once no samples are left to refill
     while True:
         new = min(width - idx.size, count - filled)
         if new:
@@ -400,19 +433,28 @@ def _walk_chunk(domain, x0, thr, key, count, offset, max_steps, stops, steps, tr
             filled += new
         if not idx.size:
             return history
+        nsub = stride
+        if filled == count:
+            reach = min(reach, width // idx.size)
+            nsub *= reach
+            reach *= 2
         lanes = _raw_lanes(
             k0, k1, first + idx.astype(np.uint64), offset + (now - entry) * lanes_per_step,
-            stride * lanes_per_step,
+            nsub * lanes_per_step,
         )
-        for _ in range(stride):
+        # (dim, sub-step, column of this draw); the lanes are not kept.
+        dirs = _directions(dim, lanes).T.reshape(dim, nsub, idx.size)
+        del lanes
+        live = None  # columns of ``dirs`` still in flight, once some have left
+        for t in range(nsub):
             if now - entry[0] >= max_steps:
                 # The first walk in flight is the oldest and has the lowest
                 # sample index, so it is the lowest that exceeds the limit.
                 bad = key.sample_index + int(idx[0])
                 raise StepLimitExceeded(max_steps, dataclasses.replace(key, sample_index=bad))
-            g = _directions(dim, lanes[:lanes_per_step]).T
-            lanes = lanes[lanes_per_step:]
-            pos += dist * g
+            g = dirs[:, t] if live is None else dirs[:, t].take(live, axis=1)
+            g *= dist
+            pos += g
             now += 1
             dist = np.maximum(domain._dist(pos.T), 0.0)
             if trace:
@@ -432,7 +474,8 @@ def _walk_chunk(domain, x0, thr, key, count, offset, max_steps, stops, steps, tr
             if keep.size == idx.size:
                 continue
             idx, dist, entry, ptr = idx[keep], dist[keep], entry[keep], ptr[keep]
-            pos, lanes = pos.take(keep, axis=1), lanes.take(keep, axis=1)
+            pos = pos.take(keep, axis=1)
+            live = keep if live is None else live[keep]
             if not idx.size:
                 break
 

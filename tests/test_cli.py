@@ -130,6 +130,27 @@ class TestSolveCommand:
         assert len(doc["levels"]) >= 2
 
 
+class TestThreadsErrors:
+    @pytest.mark.parametrize("value", ["abc", "-4"])
+    def test_malformed_environment_is_usage_error(self, tmp_path, cli_env, value):
+        env = dict(cli_env, MLWOS_THREADS=value)
+        args = ["solve", "--problem", "ball2", "--method", "wos", "--m", "10",
+                "--output", "out.json"]
+        res = run_cli(args, tmp_path, env)
+        assert res.returncode == 1, res.stderr
+        assert "MLWOS_THREADS" in res.stderr
+        assert not (tmp_path / "out.json").exists()
+        # An explicit --threads takes precedence over the environment.
+        res = run_cli(args + ["--threads", "1"], tmp_path, env)
+        assert res.returncode == 0, res.stderr
+
+    def test_same_exit_code_as_threads_flag(self, monkeypatch):
+        monkeypatch.setenv("MLWOS_THREADS", "abc")
+        assert main(["solve", "--problem", "ball2"]) == 1
+        monkeypatch.delenv("MLWOS_THREADS")
+        assert main(["solve", "--problem", "ball2", "--threads", "0"]) == 1
+
+
 class TestDeterminismAcrossThreads:
     def test_solve_and_studies_byte_identical(self, tmp_path, cli_env):
         commands = {

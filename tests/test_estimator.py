@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mlwos.estimator import (
     AllocationModel,
@@ -17,6 +19,7 @@ from mlwos.estimator import (
     mlmc_estimate,
     model_allocation,
     optimal_allocation,
+    resolve_threads,
 )
 from mlwos.geometry import ball_problem, get_problem, hemisphere_problem, square_problem
 from mlwos.walk import StepLimitExceeded
@@ -95,15 +98,25 @@ class TestOptimalAllocation:
         for v, w, eps in ((1.0, 1.0, 0.1), (0.3, 7.0, 0.02)):
             assert optimal_allocation([v], [w], eps) == [auto_sample_count(v, eps)]
 
-    def test_constraint_holds_pre_rounding(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            n = rng.integers(1, 8)
-            v = rng.uniform(0.01, 2.0, n)
-            w = rng.uniform(0.5, 50.0, n)
-            eps = rng.uniform(1e-3, 0.3)
-            targets = allocation_targets(v, w, eps)
-            assert np.sum(v / targets) == pytest.approx(eps ** 2, rel=1e-12)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        levels=st.lists(
+            st.tuples(
+                st.just(0.0) | st.floats(1e-12, 1e6),  # V_l
+                st.floats(1e-6, 1e8),  # w_l
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        eps=st.floats(1e-6, 10.0),
+    )
+    def test_constraint_holds_pre_rounding(self, levels, eps):
+        """sum V_l / M_l = eps^2 over the levels with V_l > 0."""
+        v, w = np.array(levels).T
+        assume(np.any(v > 0.0))
+        targets = allocation_targets(v, w, eps)
+        used = v > 0.0
+        assert np.sum(v[used] / targets[used]) == pytest.approx(eps ** 2, rel=1e-12)
 
     def test_variance_scaling_homogeneity(self):
         v = np.array([1.0, 0.3, 0.05])
@@ -125,6 +138,22 @@ class TestOptimalAllocation:
     def test_rejects_nonpositive_work(self):
         with pytest.raises(ValueError, match="works"):
             optimal_allocation([1.0], [0.0], 0.1)
+
+
+class TestResolveThreads:
+    def test_explicit_value_then_environment(self, monkeypatch):
+        monkeypatch.setenv("MLWOS_THREADS", "3")
+        assert resolve_threads(None) == 3
+        assert resolve_threads(2) == 2
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-4"])
+    def test_malformed_environment_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("MLWOS_THREADS", value)
+        with pytest.raises(ValueError, match="MLWOS_THREADS"):
+            resolve_threads(None)
+        with pytest.raises(ValueError, match="MLWOS_THREADS"):
+            mc_estimate(SQUARE, 0.1, m=10, seed=0)
+        assert resolve_threads(1) == 1
 
 
 class TestModelAllocation:

@@ -69,6 +69,31 @@ class TestProjection:
         proj = SQUARE.project_to_boundary((0.25, 0.25))
         np.testing.assert_allclose(proj, [0.0, 0.25], atol=1e-15)
 
+    def test_square_matches_candidate_argmin(self):
+        """Bit for bit the argmin over the stacked candidates (x, 2 - x,
+        y, 2 - y), which breaks ties to the lowest index."""
+
+        def argmin_reference(pts):
+            x, y = pts[:, 0], pts[:, 1]
+            k = np.argmin(np.stack([x, 2.0 - x, y, 2.0 - y], axis=1), axis=1)
+            out = pts.copy()
+            out[k == 0, 0] = 0.0
+            out[k == 1, 0] = 2.0
+            out[k == 2, 1] = 0.0
+            out[k == 3, 1] = 2.0
+            return out
+
+        rng = np.random.default_rng(3)
+        grid = np.array([-0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 1.75, 2.0])
+        pts = np.concatenate([
+            rng.uniform(0.0, 2.0, (2000, 2)),
+            rng.uniform(-1.0, 3.0, (500, 2)),
+            rng.integers(0, 17, (2000, 2)) / 8.0,  # equidistant ties
+            np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2),  # corners
+        ])
+        got, want = SQUARE._proj(pts), argmin_reference(pts)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_projection_distance_consistency(self):
         rng = np.random.default_rng(7)
         for domain in (SQUARE, HEMI, Ball(2), Ball(5, 0.5)):

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -124,9 +125,45 @@ class TestStreams:
         z = derive_stream(StreamKey(1)).normals(200_000)
         assert abs(z.mean()) < 0.01
         assert abs(z.std() - 1.0) < 0.01
+        assert derive_stream(StreamKey(1)).normals(0).shape == (0,)
+
+
+def _box_muller_reference(lanes):
+    """Every lane pair (2p, 2p + 1) along the first axis gives normals 2p
+    (cosine) and 2p + 1 (sine), all of them computed."""
+    u_log = ((lanes[0::2] >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
+    u_ang = (lanes[1::2] >> np.uint64(11)) * 2.0 ** -53
+    r = np.sqrt(-2.0 * np.log(u_log))
+    theta = 2.0 * np.pi * u_ang
+    out = np.empty(lanes.shape)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
+    return out
 
 
 class TestUniformDirection:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_directions_match_box_muller_reference(self, dim):
+        """Step ``t`` of column ``r`` is the normalized first ``dim``
+        normals of its own ``L`` lanes, bit for bit, in odd dimensions too."""
+        lanes_per_step, steps, rows = walk._lanes_per_direction(dim), 3, 7
+        rng = np.random.default_rng(dim)
+        lanes = rng.integers(0, 2 ** 64, (steps * lanes_per_step, rows), dtype=np.uint64)
+        got = walk._directions(dim, lanes)
+        assert got.shape == (steps * rows, dim)
+        for t in range(steps):
+            g = _box_muller_reference(lanes[t * lanes_per_step:(t + 1) * lanes_per_step])[:dim]
+            n2 = g[0] * g[0]
+            for j in range(1, dim):
+                n2 = n2 + g[j] * g[j]
+            np.testing.assert_array_equal(got[t * rows:(t + 1) * rows], (g / np.sqrt(n2)).T)
+        k0, k1 = walk._key_words(9, 0, 0)
+        own = walk._raw_lanes(k0, k1, np.array([dim], dtype=np.uint64), 0, lanes_per_step)
+        np.testing.assert_array_equal(
+            derive_stream(StreamKey(9, sample_index=dim)).normals(dim),
+            _box_muller_reference(own)[:dim, 0],
+        )
+
     def test_one_dimension_is_sign(self):
         s = derive_stream(StreamKey(3))
         draws = np.array([uniform_direction(1, s)[0] for _ in range(10_000)])
@@ -183,18 +220,24 @@ class TestWosWalk:
     @pytest.mark.parametrize("width", [5, 64, walk._WIDTH])
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_step_limit_reports_lowest_failing_sample(self, width, threads):
+        """At full width the 300 walks enter at once and their draws cover
+        steps 1-2, 3-4, 5-8, 9-16 and 17-32: the limits 5 and 12 fall inside
+        grown draws, 16 on a draw boundary."""
         args = dict(master_seed=3, context=7, level=2, start_index=101, count=300)
         ref = run_many(SQUARE, (1.0, 1.0), [1e-2], **args)
-        failing = np.flatnonzero(ref.steps[-1] > 16)
-        # Sample 0 finishes, and failures lie in every range of a 3-way split.
-        assert failing[0] > 0
-        assert np.array_equal(np.unique(failing // 100), [0, 1, 2])
-        with _width(width), pytest.raises(StepLimitExceeded) as err:
-            run_many(SQUARE, (1.0, 1.0), [1e-2], max_steps=16, threads=threads, **args)
-        assert err.value.key == StreamKey(3, 7, 2, 101 + int(failing[0]))
-        assert (err.value.master_seed, err.value.context, err.value.level) == (3, 7, 2)
-        assert err.value.sample_index == 101 + int(failing[0])
-        assert err.value.max_steps == 16
+        for max_steps in (5, 12, 16):
+            failing = np.flatnonzero(ref.steps[-1] > max_steps)
+            # Sample 0 finishes, and failures lie in every range of a 3-way split.
+            assert failing[0] > 0
+            assert np.array_equal(np.unique(failing // 100), [0, 1, 2])
+            with _width(width), pytest.raises(StepLimitExceeded) as err:
+                run_many(
+                    SQUARE, (1.0, 1.0), [1e-2], max_steps=max_steps, threads=threads, **args
+                )
+            assert err.value.key == StreamKey(3, 7, 2, 101 + int(failing[0]))
+            assert (err.value.master_seed, err.value.context, err.value.level) == (3, 7, 2)
+            assert err.value.sample_index == 101 + int(failing[0])
+            assert err.value.max_steps == max_steps
 
     def test_value_filled_from_bc(self):
         prob = ball_problem(2)
@@ -357,6 +400,88 @@ class TestEngineProperties:
         np.testing.assert_array_equal(res.stop_point, pos)
         assert res.steps == steps
         assert walked.pos == stepped.pos
+
+
+class TestTailLookahead:
+    """Once a call has no samples left to refill, each draw covers twice the
+    strides of the one before, capped at the call's width in strides over
+    the walks in flight. Outputs must not depend on the draw sizes."""
+
+    @pytest.mark.parametrize("count", [1, 2, 37, 300])
+    @pytest.mark.parametrize(
+        "domain, x0, thr",
+        [
+            (SQUARE, (1.0, 1.0), [1e-2, 1e-4]),
+            (Ball(1), (0.3,), [1e-3, 1e-6]),
+            (Ball(3), (0.3, 0.0, 0.1), [1e-3, 1e-6]),
+            (Ball(5), (0.3, 0.0, 0.1, 0.0, 0.0), [1e-3, 1e-6]),
+        ],
+        ids=["square", "ball1", "ball3", "ball5"],
+    )
+    def test_long_tailed_calls_match_single_walks(self, domain, x0, thr, count):
+        seed, context, level, start = 2 ** 63 + 5, 11, 3, 1000
+        batch = run_many(
+            domain, x0, thr, master_seed=seed, context=context, level=level,
+            start_index=start, count=count,
+        )
+        for i in range(count):
+            key = StreamKey(seed, context, level, start + i)
+            pair = ml_pair(domain, x0, thr[0], thr[1], stream=derive_stream(key))
+            fine = wos_walk(domain, x0, thr[1], stream=derive_stream(key))
+            for k, rec in enumerate((pair.coarse, pair.fine)):
+                np.testing.assert_array_equal(batch.stops[k, i], rec.stop_point)
+                np.testing.assert_array_equal(batch.exits[k, i], rec.exit_point)
+                assert batch.steps[k, i] == rec.steps
+            np.testing.assert_array_equal(fine.stop_point, pair.fine.stop_point)
+            assert fine.steps == pair.fine.steps
+
+    @pytest.mark.parametrize(
+        "domain, x0, eps",
+        [
+            (SQUARE, (1.0, 1.0), 1e-4),
+            (Ball(1), (0.3,), 1e-6),
+            (Hemisphere(), (0.2, 0.3, 0.1), 1e-4),
+            (Ball(5), (0.3, 0.0, 0.1, 0.0, 0.0), 1e-6),
+        ],
+        ids=["square", "ball1", "hemisphere", "ball5"],
+    )
+    def test_lanes_drawn_within_doubling_bound(self, domain, x0, eps, monkeypatch):
+        """Lanes drawn <= 2 * lanes used + one stride per walk.
+
+        Every draw but a walk's last is used in full. A walk's last draw is
+        at most one stride longer than all its earlier draws together: true
+        for one-stride refill draws, and for tail draws, which start at one
+        stride and at most double. When every walk enters at once, every
+        draw is a tail draw, and the draw sizes follow from the strides each
+        walk needs.
+        """
+        blocks = []
+        philox = walk.philox4x64
+
+        def counted(*args):
+            out = philox(*args)
+            blocks.append(out[0].size)
+            return out
+
+        monkeypatch.setattr(walk, "philox4x64", counted)
+        lanes = walk._lanes_per_direction(domain.dim)
+        stride = math.lcm(lanes, 4) // lanes
+        for count, width in ((1, walk._WIDTH), (300, walk._WIDTH), (300, 64)):
+            blocks.clear()
+            with _width(width):
+                batch = run_many(domain, x0, [eps], master_seed=17, count=count)
+            used = lanes * int(batch.steps[-1].sum())
+            assert used <= 4 * sum(blocks) <= 2 * used + stride * lanes * count
+            assert 4 * max(blocks) <= min(width, count) * stride * lanes
+            if count <= width:
+                need = -(-batch.steps[-1] // stride)
+                want, done, reach = [], 0, 1
+                while rows := int(np.count_nonzero(need > done)):
+                    reach = min(reach, count // rows)
+                    want.append(rows * reach * stride * lanes // 4)
+                    done += reach
+                    reach *= 2
+                assert blocks == want
 
 
 class TestMlPair:
