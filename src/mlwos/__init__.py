@@ -15,7 +15,6 @@ from .geometry import (
     boundary_value,
     get_problem,
     hemisphere_problem,
-    reference_value,
     square_problem,
 )
 from .walk import (
@@ -46,6 +45,9 @@ from .estimator import (
     mlmc_estimate,
     model_allocation,
     optimal_allocation,
+    sample_level,
+    solve,
+    stream_context,
 )
 from .studies import (
     FitResult,

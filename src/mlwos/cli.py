@@ -204,55 +204,44 @@ def _config_echo(config: RunConfig) -> dict:
     return echo
 
 
+def _emit(config: RunConfig, doc: dict, csv: str, summary: dict):
+    """Write the artifact: ``doc`` as JSON, or ``csv`` plus ``summary`` as
+    JSON in ``<output>.summary.json``."""
+    if config.format == "json":
+        _write(config.output, _json_dump(doc))
+    else:
+        _write(config.output, csv)
+        _write(config.output + ".summary.json", _json_dump(summary))
+
+
 def _run_solve(config: RunConfig) -> str:
     problem = get_problem(config.problem)
-    method = config.method.upper()
     t0 = time.perf_counter()
-    if method == "WOS":
-        report = estimator.mc_estimate(
-            problem, config.eps_target, m=config.m, seed=config.seed, threads=config.threads
-        )
-    elif method == "MEAS":
-        report = estimator.adaptive_mlmc(
-            problem,
-            config.eps_target,
-            config.eta,
-            warmup=config.warmup,
-            seed=config.seed,
-            threads=config.threads,
-        )
-    elif method == "MLWOS":
-        report = studies._run_method(
-            problem, "MLWOS", config.eps_target, config.eta, config.warmup,
-            config.seed, 0, estimator.resolve_threads(config.threads),
-        )
-    else:
-        raise ValueError(f"unknown method {config.method!r}")
+    report = estimator.solve(
+        problem,
+        config.method,
+        config.eps_target,
+        config.eta,
+        warmup=config.warmup,
+        m=config.m,
+        seed=config.seed,
+        threads=config.threads,
+    )
     elapsed = time.perf_counter() - t0
 
+    method = config.method.upper()
     doc = report.to_dict()
     doc["problem"] = config.problem
     doc["method"] = method
     doc["config"] = _config_echo(config)
-    if config.format == "json":
-        _write(config.output, _json_dump(doc))
-    else:
-        rows = [
-            (lv["level"], lv["eps"], lv["m"], lv["mean"], lv["variance"], lv["mean_steps"])
-            for lv in doc["levels"]
-        ]
-        _write(config.output, studies._csv("level,eps,m,mean,variance,mean_steps", rows))
-        summary = {k: v for k, v in doc.items() if k != "levels"}
-        _write(_summary_path(config.output), _json_dump(summary))
+    csv = studies.render_csv("level,eps,m,mean,variance,mean_steps", doc["levels"])
+    summary = {k: v for k, v in doc.items() if k != "levels"}
+    _emit(config, doc, csv, summary)
     return (
         f"{config.problem} {method.lower()}: value={report.value:.6f} "
         f"stat_error={report.stat_error:.2e} discr_bound={report.discr_error_bound:.2e} "
         f"work={report.total_steps} wall={elapsed:.2f}s"
     )
-
-
-def _summary_path(output: str) -> str:
-    return output + ".summary.json"
 
 
 def _run_variance(config: RunConfig) -> str:
@@ -267,13 +256,8 @@ def _run_variance(config: RunConfig) -> str:
         threads=config.threads,
         reps=config.reps,
     )
-    summary = result.summary()
-    summary["config"] = _config_echo(config)
-    if config.format == "json":
-        _write(config.output, _json_dump({"records": result.rows, **summary}))
-    else:
-        _write(config.output, result.to_csv())
-        _write(_summary_path(config.output), _json_dump(summary))
+    summary = {**result.summary(), "config": _config_echo(config)}
+    _emit(config, {"records": result.rows, **summary}, result.to_csv(), summary)
     if result.degenerate:
         return "variance study: degenerate (all level norms zero)"
     return f"variance study: fitted decay exponent {result.fit.slope:.3f} (r2 {result.fit.r_squared:.3f})"
@@ -290,13 +274,8 @@ def _run_pdiv(config: RunConfig) -> str:
         seed=config.seed,
         threads=config.threads,
     )
-    summary = result.summary()
-    summary["config"] = _config_echo(config)
-    if config.format == "json":
-        _write(config.output, _json_dump({"records": result.rows, **summary}))
-    else:
-        _write(config.output, result.to_csv())
-        _write(_summary_path(config.output), _json_dump(summary))
+    summary = {**result.summary(), "config": _config_echo(config)}
+    _emit(config, {"records": result.rows, **summary}, result.to_csv(), summary)
     if result.fit is None:
         return "pdiv study: no fit (too few divergence events)"
     return f"pdiv study: fitted slope {result.fit.slope:.3f} (r2 {result.fit.r_squared:.3f})"
@@ -316,14 +295,9 @@ def _run_workerr(config: RunConfig) -> str:
         threads=config.threads,
         warmup=config.warmup,
     )
-    summary = result.summary()
-    summary["config"] = _config_echo(config)
-    if config.format == "json":
-        records = [dataclasses.asdict(r) for r in result.records]
-        _write(config.output, _json_dump({"records": records, **summary}))
-    else:
-        _write(config.output, result.to_csv())
-        _write(_summary_path(config.output), _json_dump(summary))
+    summary = {**result.summary(), "config": _config_echo(config)}
+    records = [dataclasses.asdict(r) for r in result.records]
+    _emit(config, {"records": records, **summary}, result.to_csv(), summary)
     slopes = ", ".join(f"{m}:{f.slope:.3f}" for m, f in sorted(result.fits.items()))
     return f"work-error study: error-vs-work slopes {slopes}"
 

@@ -41,22 +41,35 @@ __all__ = [
     "mc_estimate",
     "mlmc_estimate",
     "adaptive_mlmc",
+    "sample_level",
+    "solve",
+    "stream_context",
     "DEFAULT_WARMUP",
+    "METHODS",
 ]
 
 DEFAULT_WARMUP = 100
 _PILOT_SAMPLES = 100
+
+METHODS = ("MEAS", "MLWOS", "WOS")
 
 # Estimator-internal substream tags, packed into the low context bits so a
 # caller-supplied context base never collides between main and pilot draws.
 _SUB_MAIN = 0
 _SUB_PILOT = 1
 
+# MLWOS allocation: the theory decay exponent for Lipschitz boundary data,
+# and polylog work growth per level.
+_ANALYTIC_S = 1.0 / 3.0
+_ANALYTIC_P = 2
 
-def _context_word(context_base: int, sub: int) -> int:
-    if not 0 <= context_base < 2 ** 28:
+
+def stream_context(base: int, sub: int = _SUB_MAIN) -> int:
+    """Stream context word of the caller's context ``base`` (28 bits) and
+    an estimator substream tag in the low four bits."""
+    if not 0 <= base < 2 ** 28:
         raise ValueError("context must fit in 28 bits")
-    return (context_base << 4) | sub
+    return (base << 4) | sub
 
 
 def resolve_threads(threads: Optional[int]) -> int:
@@ -105,6 +118,20 @@ class Ladder:
         if any(b > a for a, b in zip(self.eps, self.eps[1:])):
             raise ValueError("widths must be nonincreasing")
 
+    def widths(self, level: int) -> tuple:
+        """Stopping widths of a level's samples for :func:`sample_level`:
+        ``(eps0,)`` on level 0, ``(eps[level - 1], eps[level])`` above."""
+        return self.eps[max(level - 1, 0):level + 1]
+
+
+def _anchored_ladder(eps_target: float, eta: float, levels: int) -> Ladder:
+    # The finest width is the target exactly; coarser ones multiply upward.
+    eps = [eps_target]
+    for _ in range(levels):
+        eps.append(eps[-1] * eta)
+    eps.reverse()
+    return Ladder(eps0=eps[0], eta=eta, levels=levels, eps=tuple(eps))
+
 
 def build_ladder(eps_target: float, eta: float, eps0_hint: float) -> Ladder:
     """Ladder with the fewest levels such that refining ``eps0_hint`` by
@@ -123,30 +150,22 @@ def build_ladder(eps_target: float, eta: float, eps0_hint: float) -> Ladder:
         levels += 1
         if levels > 200:
             raise ValueError("ladder would be unreasonably deep")
-    eps = [eps_target]
-    for _ in range(levels):
-        eps.append(eps[-1] * eta)
-    eps.reverse()
-    return Ladder(eps0=eps[0], eta=eta, levels=levels, eps=tuple(eps))
+    return _anchored_ladder(eps_target, eta, levels)
 
 
-def default_ladder(problem: Problem, eps_target: float, eta: float, safety: float = 0.9) -> Ladder:
-    """Deepest ladder whose coarsest width stays below ``safety`` times the
-    start point's boundary distance (walks must start outside the stopping
-    shell on every level)."""
+def default_ladder(problem: Problem, eps_target: float, eta: float) -> Ladder:
+    """Deepest ladder whose coarsest width stays below 0.9 times the start
+    point's boundary distance (walks must start outside the stopping shell
+    on every level)."""
     d0 = problem.domain.distance_to_boundary(problem.start)
     if eps_target >= d0:
         raise ValueError("eps_target must be below the start's boundary distance")
     if eta <= 1.0:
         raise ValueError("eta must exceed 1")
     levels = 0
-    while eps_target * eta ** (levels + 1) <= safety * d0:
+    while eps_target * eta ** (levels + 1) <= 0.9 * d0:
         levels += 1
-    eps = [eps_target]
-    for _ in range(levels):
-        eps.append(eps[-1] * eta)
-    eps.reverse()
-    return Ladder(eps0=eps[0], eta=eta, levels=levels, eps=tuple(eps))
+    return _anchored_ladder(eps_target, eta, levels)
 
 
 @dataclass(frozen=True)
@@ -286,7 +305,7 @@ class EstimateReport:
     ``stat_error`` is sqrt(sum_l variance_l / count_l); the discretization
     component is bounded by the finest stopping width up to an unknown
     constant, reported separately as ``discr_error_bound``. ``wall_time`` is
-    measured; persisted artifacts zero it so outputs stay byte-stable.
+    measured; ``to_dict`` writes it as 0.0 so artifacts stay byte-stable.
     """
 
     value: float
@@ -301,7 +320,7 @@ class EstimateReport:
     seed: int
     wall_time: float = 0.0
 
-    def to_dict(self, include_timing: bool = False) -> dict:
+    def to_dict(self) -> dict:
         return {
             "value": self.value,
             "eps_target": self.eps_target,
@@ -320,58 +339,63 @@ class EstimateReport:
             "total_steps": self.total_steps,
             "stat_error": self.stat_error,
             "seed": self.seed,
-            "wall_time_s": self.wall_time if include_timing else 0.0,
+            "wall_time_s": 0.0,
         }
 
 
-def _sample_plain(problem, eps, count, start_index, seed, ctx_word, level, max_steps, threads):
-    batch = walk.run_many(
-        problem.domain,
-        problem.start,
-        [eps],
-        master_seed=seed,
-        context=ctx_word,
-        level=level,
-        start_index=start_index,
-        count=count,
-        max_steps=max_steps,
-        threads=threads,
-    )
-    values = problem.bc(batch.exits[0])
-    return values, batch.steps[0]
-
-
-def _sample_pairs(
-    problem, eps_coarse, eps_fine, count, start_index, seed, ctx_word, level, max_steps, threads
+def sample_level(
+    problem: Problem,
+    widths,
+    count: int,
+    *,
+    seed: int,
+    context: int,
+    level: int = 0,
+    start_index: int = 0,
+    max_steps: int,
+    threads: int,
 ):
+    """Samples ``start_index`` to ``start_index + count - 1`` of one level,
+    drawn from the streams (``seed``, ``context``, ``level``).
+
+    ``widths=(eps,)`` gives the boundary values at the walks' exits;
+    ``widths=(coarse, fine)`` gives the coupled corrections
+    bc(fine exit) - bc(coarse exit). Returns ``(values, steps)``, with the
+    steps of the finest record in both cases. ``context`` is a whole stream
+    context word, as :func:`stream_context` makes.
+    """
+    if len(widths) not in (1, 2):
+        raise ValueError("widths must be (eps,) or (coarse, fine)")
     batch = walk.run_many(
         problem.domain,
         problem.start,
-        [eps_coarse, eps_fine],
+        widths,
         master_seed=seed,
-        context=ctx_word,
+        context=context,
         level=level,
         start_index=start_index,
         count=count,
         max_steps=max_steps,
         threads=threads,
     )
-    diffs = problem.bc(batch.exits[1]) - problem.bc(batch.exits[0])
-    return diffs, batch.steps[1]
+    values = problem.bc(batch.exits[-1])
+    if len(widths) == 2:
+        values = values - problem.bc(batch.exits[0])
+    return values, batch.steps[-1]
 
 
-def _finalize(value, eps_target, eta, eps, m, stats, step_totals, seed, t0) -> EstimateReport:
-    stat_var = sum(st.variance / st.count for st in stats)
-    total_steps = int(sum(step_totals))
+def _report(eps, eta, levels, seed, t0) -> EstimateReport:
+    # ``levels`` holds one (values, steps) pair of arrays per width in ``eps``.
+    stats = [_stats_from(level, v, s) for level, (v, s) in enumerate(levels)]
     return EstimateReport(
-        value=float(value),
-        eps_target=float(eps_target),
+        value=float(sum(st.mean for st in stats)),
+        eps_target=float(eps[-1]),
         eta=eta,
         eps=tuple(eps),
-        m=tuple(m),
+        m=tuple(st.count for st in stats),
         level_stats=stats,
-        total_steps=total_steps,
-        stat_error=math.sqrt(stat_var),
+        total_steps=int(sum(int(s.sum()) for _, s in levels)),
+        stat_error=math.sqrt(sum(st.variance / st.count for st in stats)),
         discr_error_bound=float(eps[-1]),
         seed=seed,
         wall_time=time.perf_counter() - t0,
@@ -394,36 +418,24 @@ def mc_estimate(
     the final estimate matches an explicit call with the resulting count.
     """
     t0 = time.perf_counter()
-    threads = resolve_threads(threads)
-    ctx = _context_word(context, _SUB_MAIN)
+    stream_args = dict(
+        seed=seed,
+        context=stream_context(context),
+        max_steps=max_steps,
+        threads=resolve_threads(threads),
+    )
+    if m is not None and m < 2:
+        raise ValueError("m must be at least 2")
+    values, steps = sample_level(problem, (eps,), m or _PILOT_SAMPLES, **stream_args)
     if m is None:
-        values, steps = _sample_plain(
-            problem, eps, _PILOT_SAMPLES, 0, seed, ctx, 0, max_steps, threads
-        )
         target = auto_sample_count(float(np.var(values, ddof=1)), eps)
         if target > _PILOT_SAMPLES:
-            more_v, more_s = _sample_plain(
-                problem,
-                eps,
-                target - _PILOT_SAMPLES,
-                _PILOT_SAMPLES,
-                seed,
-                ctx,
-                0,
-                max_steps,
-                threads,
+            more_v, more_s = sample_level(
+                problem, (eps,), target - _PILOT_SAMPLES, start_index=_PILOT_SAMPLES, **stream_args
             )
             values = np.concatenate([values, more_v])
             steps = np.concatenate([steps, more_s])
-    else:
-        if m < 2:
-            raise ValueError("m must be at least 2")
-        values, steps = _sample_plain(problem, eps, m, 0, seed, ctx, 0, max_steps, threads)
-    stats = [_stats_from(0, values, steps)]
-    return _finalize(
-        stats[0].mean, eps, None, (eps,), (stats[0].count,), stats,
-        [int(steps.sum())], seed, t0,
-    )
+    return _report((eps,), None, [(values, steps)], seed, t0)
 
 
 def mlmc_estimate(
@@ -439,36 +451,15 @@ def mlmc_estimate(
     t0 = time.perf_counter()
     threads = resolve_threads(threads)
     ladder = plan.ladder
-    ctx = _context_word(context, _SUB_MAIN)
-    stats = []
-    step_totals = []
-    value = 0.0
-    for level in range(ladder.levels + 1):
-        count = int(plan.m[level])
-        if level == 0:
-            vals, steps = _sample_plain(
-                problem, ladder.eps[0], count, 0, seed, ctx, 0, max_steps, threads
-            )
-        else:
-            vals, steps = _sample_pairs(
-                problem,
-                ladder.eps[level - 1],
-                ladder.eps[level],
-                count,
-                0,
-                seed,
-                ctx,
-                level,
-                max_steps,
-                threads,
-            )
-        st = _stats_from(level, vals, steps)
-        stats.append(st)
-        step_totals.append(int(steps.sum()))
-        value += st.mean
-    return _finalize(
-        value, ladder.eps[-1], ladder.eta, ladder.eps, plan.m, stats, step_totals, seed, t0
-    )
+    ctx = stream_context(context)
+    levels = [
+        sample_level(
+            problem, ladder.widths(level), int(count), seed=seed, context=ctx, level=level,
+            max_steps=max_steps, threads=threads,
+        )
+        for level, count in enumerate(plan.m)
+    ]
+    return _report(ladder.eps, ladder.eta, levels, seed, t0)
 
 
 def adaptive_mlmc(
@@ -479,7 +470,6 @@ def adaptive_mlmc(
     seed: int = 0,
     threads: Optional[int] = None,
     context: int = 0,
-    ladder: Optional[Ladder] = None,
     max_steps: int = walk.DEFAULT_MAX_STEPS,
 ) -> EstimateReport:
     """Multilevel estimate with measured allocation.
@@ -494,62 +484,84 @@ def adaptive_mlmc(
     if warmup < 2:
         raise ValueError("warmup must be at least 2")
     threads = resolve_threads(threads)
-    if ladder is None:
-        ladder = default_ladder(problem, eps_target, eta)
-    ctx = _context_word(context, _SUB_MAIN)
+    ladder = default_ladder(problem, eps_target, eta)
+    ctx = stream_context(context)
     nlev = ladder.levels + 1
+    values = [np.empty(0)] * nlev
+    steps = [np.empty(0, dtype=np.int64)] * nlev
 
-    def draw(level, count, start_index):
-        if level == 0:
-            return _sample_plain(
-                problem, ladder.eps[0], count, start_index, seed, ctx, 0, max_steps, threads
-            )
-        return _sample_pairs(
-            problem,
-            ladder.eps[level - 1],
-            ladder.eps[level],
-            count,
-            start_index,
-            seed,
-            ctx,
-            level,
-            max_steps,
-            threads,
-        )
-
-    values = []
-    steps = []
-    for level in range(nlev):
-        v, s = draw(level, warmup, 0)
-        values.append(v)
-        steps.append(s)
-
-    def measured():
-        v = [float(np.var(x, ddof=1)) for x in values]
-        w = [float(np.mean(s)) for s in steps]
-        return v, w
-
-    v_meas, w_meas = measured()
-    first = optimal_allocation(v_meas, w_meas, ladder.eps[-1])
-    for level in range(nlev):
-        need = max(first[level], warmup)
+    def top_up(level, need):
         have = values[level].size
         if need > have:
-            v, s = draw(level, need - have, have)
+            v, s = sample_level(
+                problem, ladder.widths(level), need - have, seed=seed, context=ctx,
+                level=level, start_index=have, max_steps=max_steps, threads=threads,
+            )
             values[level] = np.concatenate([values[level], v])
             steps[level] = np.concatenate([steps[level], s])
 
-    v_meas, w_meas = measured()
-    second = optimal_allocation(v_meas, w_meas, ladder.eps[-1])
+    def allocation():
+        v = [float(np.var(x, ddof=1)) for x in values]
+        w = [float(np.mean(s)) for s in steps]
+        return optimal_allocation(v, w, ladder.eps[-1])
+
     for level in range(nlev):
-        have = values[level].size
-        if second[level] > have and second[level] > 1.1 * first[level]:
-            v, s = draw(level, second[level] - have, have)
-            values[level] = np.concatenate([values[level], v])
-            steps[level] = np.concatenate([steps[level], s])
+        top_up(level, warmup)
+    first = allocation()
+    for level in range(nlev):
+        top_up(level, max(first[level], warmup))
+    second = allocation()
+    for level in range(nlev):
+        if second[level] > 1.1 * first[level]:
+            top_up(level, second[level])
 
-    stats = [_stats_from(level, values[level], steps[level]) for level in range(nlev)]
-    value = sum(st.mean for st in stats)
-    counts = tuple(st.count for st in stats)
-    step_totals = [int(s.sum()) for s in steps]
-    return _finalize(value, ladder.eps[-1], eta, ladder.eps, counts, stats, step_totals, seed, t0)
+    return _report(ladder.eps, eta, list(zip(values, steps)), seed, t0)
+
+
+def solve(
+    problem: Problem,
+    method: str,
+    eps_target: float,
+    eta: float = 16.0,
+    warmup: int = DEFAULT_WARMUP,
+    m: Optional[int] = None,
+    seed: int = 0,
+    threads: Optional[int] = None,
+    context: int = 0,
+) -> EstimateReport:
+    """Point estimate at error target ``eps_target`` with one of
+    :data:`METHODS`, named in any case.
+
+    WOS is :func:`mc_estimate`, with ``m`` samples if given. MEAS is
+    :func:`adaptive_mlmc` with ``warmup`` samples per level. MLWOS is
+    :func:`mlmc_estimate` with counts from :func:`model_allocation`: a
+    100-sample pilot at the coarsest width, on its own substream, anchors
+    a polylog model with s = 1/3 and p = 2, and its steps count in the
+    report's work.
+    """
+    name = method.upper()
+    if name == "WOS":
+        return mc_estimate(problem, eps_target, m=m, seed=seed, threads=threads, context=context)
+    if name == "MEAS":
+        return adaptive_mlmc(
+            problem, eps_target, eta, warmup=warmup, seed=seed, threads=threads, context=context
+        )
+    if name != "MLWOS":
+        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    threads = resolve_threads(threads)
+    ladder = default_ladder(problem, eps_target, eta)
+    pilot_v, pilot_s = sample_level(
+        problem, ladder.widths(0), _PILOT_SAMPLES, seed=seed,
+        context=stream_context(context, _SUB_PILOT), max_steps=walk.DEFAULT_MAX_STEPS,
+        threads=threads,
+    )
+    model = AllocationModel(
+        s=_ANALYTIC_S,
+        v0=float(np.var(pilot_v, ddof=1)),
+        w0=float(np.mean(pilot_s)),
+        p=_ANALYTIC_P,
+    )
+    plan = LevelPlan(ladder, tuple(model_allocation(model, ladder)))
+    report = mlmc_estimate(problem, plan, seed=seed, threads=threads, context=context)
+    report.total_steps += int(np.sum(pilot_s))
+    return report

@@ -14,7 +14,7 @@ reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,7 +27,6 @@ __all__ = [
     "BoundaryCondition",
     "Problem",
     "boundary_value",
-    "reference_value",
     "square_problem",
     "hemisphere_problem",
     "ball_problem",
@@ -192,19 +191,15 @@ class BoundaryCondition:
     """Dirichlet data f on the boundary plus its Hoelder smoothness.
 
     ``evaluator`` maps an (n, dim) array of boundary points to n values.
-    ``holder_alpha`` is the Hoelder exponent in (0, 1]; the optional constant
-    ``holder_C`` is recorded but never relied upon.
+    ``holder_alpha`` is the Hoelder exponent in (0, 1].
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     holder_alpha: float = 1.0
-    holder_C: Optional[float] = None
 
     def __post_init__(self):
         if not (0.0 < self.holder_alpha <= 1.0):
             raise ValueError("holder_alpha must lie in (0, 1]")
-        if self.holder_C is not None and self.holder_C <= 0.0:
-            raise ValueError("holder_C must be positive when given")
 
     def __call__(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=np.float64)
@@ -255,11 +250,6 @@ class Problem:
             "oracle",
         ):
             raise ValueError("reference_provenance must be 'analytic' or 'oracle'")
-
-
-def reference_value(problem: Problem) -> Optional[float]:
-    """The registered u(start) if the problem has one, else None."""
-    return problem.reference_solution
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,11 @@ __all__ = [
     "variance_study",
     "pdiv_study",
     "work_error_study",
+    "render_csv",
     "METHODS",
 ]
 
-METHODS = ("MEAS", "MLWOS", "WOS")
+METHODS = estimator.METHODS
 
 # Study tags occupy the high context bits handed to the estimator layer;
 # cells enumerate (level, rep) or (method, eps, rep) grid points beneath.
@@ -43,11 +44,6 @@ _CTX_WORKERR = 3 << 20
 
 # Fine/coarse ratio used when measuring divergence probabilities.
 _PDIV_ETA = 16.0
-
-# Analytic-allocation defaults: the theory decay exponent for Lipschitz
-# boundary data, and polylog work growth per level.
-_ANALYTIC_S = 1.0 / 3.0
-_ANALYTIC_P = 2
 
 
 @dataclass(frozen=True)
@@ -108,10 +104,13 @@ def fit_loglog(xs, ys) -> FitResult:
     return FitResult(slope=float(slope), intercept=float(intercept), r_squared=max(0.0, min(1.0, r2)))
 
 
-def _csv(header: str, rows) -> str:
+def render_csv(header: str, records) -> str:
+    """CSV text: ``header``, then one line per record, a dict keyed by the
+    header's column names; floats are written as their repr."""
+    columns = header.split(",")
     out = [header]
-    for row in rows:
-        out.append(",".join(_fmt(v) for v in row))
+    for record in records:
+        out.append(",".join(_fmt(record[c]) for c in columns))
     return "\n".join(out) + "\n"
 
 
@@ -134,13 +133,7 @@ class VarianceStudyResult:
     degenerate: bool
 
     def to_csv(self) -> str:
-        return _csv(
-            "level,eps,l2_norm,variance,mean_steps,rep",
-            [
-                (r["level"], r["eps"], r["l2_norm"], r["variance"], r["mean_steps"], r["rep"])
-                for r in self.rows
-            ],
-        )
+        return render_csv("level,eps,l2_norm,variance,mean_steps,rep", self.rows)
 
     def summary(self) -> dict:
         return {
@@ -185,17 +178,15 @@ def variance_study(
     for rep in range(reps):
         for level in range(1, num_levels + 1):
             cell = _CTX_VARIANCE | (rep * (num_levels + 1) + level)
-            diffs, steps = estimator._sample_pairs(
+            diffs, steps = estimator.sample_level(
                 problem,
-                eps[level - 1],
-                eps[level],
+                (eps[level - 1], eps[level]),
                 m_per_level,
-                0,
-                seed,
-                estimator._context_word(cell, 0),
-                level,
-                walk.DEFAULT_MAX_STEPS,
-                threads,
+                seed=seed,
+                context=estimator.stream_context(cell),
+                level=level,
+                max_steps=walk.DEFAULT_MAX_STEPS,
+                threads=threads,
             )
             msq = float(np.mean(diffs ** 2))
             sq_sums[level - 1] += msq
@@ -231,10 +222,7 @@ class PdivStudyResult:
     fit: Optional[FitResult]
 
     def to_csv(self) -> str:
-        return _csv(
-            "eps,radius,m,divergences,p_hat",
-            [(r["eps"], r["radius"], r["m"], r["divergences"], r["p_hat"]) for r in self.rows],
-        )
+        return render_csv("eps,radius,m,divergences,p_hat", self.rows)
 
     def summary(self) -> dict:
         return {
@@ -278,7 +266,7 @@ def pdiv_study(
             problem.start,
             [eps, eps / _PDIV_ETA],
             master_seed=seed,
-            context=estimator._context_word(cell, 0),
+            context=estimator.stream_context(cell),
             level=0,
             count=m,
             threads=threads,
@@ -322,12 +310,9 @@ class WorkErrorStudyResult:
     fits: dict
 
     def to_csv(self) -> str:
-        return _csv(
+        return render_csv(
             "method,eps_target,eta,rep,value,error,work,wall_time_s",
-            [
-                (r.method, r.eps_target, r.eta, r.rep_seed, r.value, r.error, r.work, 0.0)
-                for r in self.records
-            ],
+            [{**vars(r), "rep": r.rep_seed, "wall_time_s": 0.0} for r in self.records],
         )
 
     def summary(self) -> dict:
@@ -347,40 +332,6 @@ class WorkErrorStudyResult:
                 for method, pts in self.points.items()
             },
         }
-
-
-def _run_method(problem, method, eps, eta, warmup, seed, cell, threads):
-    if method == "WOS":
-        return estimator.mc_estimate(problem, eps, m=None, seed=seed, threads=threads, context=cell)
-    if method == "MEAS":
-        return estimator.adaptive_mlmc(
-            problem, eps, eta, warmup=warmup, seed=seed, threads=threads, context=cell
-        )
-    if method == "MLWOS":
-        ladder = estimator.default_ladder(problem, eps, eta)
-        pilot_v, pilot_s = estimator._sample_plain(
-            problem,
-            ladder.eps[0],
-            estimator._PILOT_SAMPLES,
-            0,
-            seed,
-            estimator._context_word(cell, estimator._SUB_PILOT),
-            0,
-            walk.DEFAULT_MAX_STEPS,
-            threads,
-        )
-        model = estimator.AllocationModel(
-            s=_ANALYTIC_S,
-            v0=float(np.var(pilot_v, ddof=1)),
-            w0=float(np.mean(pilot_s)),
-            work_mode="polylog",
-            p=_ANALYTIC_P,
-        )
-        plan = estimator.LevelPlan(ladder, tuple(estimator.model_allocation(model, ladder)))
-        report = estimator.mlmc_estimate(problem, plan, seed=seed, threads=threads, context=cell)
-        report.total_steps += int(np.sum(pilot_s))
-        return report
-    raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
 
 
 def work_error_study(
@@ -411,7 +362,6 @@ def work_error_study(
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
     eps_targets = sorted(float(e) for e in eps_targets)
-    threads = estimator.resolve_threads(threads)
 
     records = []
     points = {m: [] for m in methods}
@@ -422,7 +372,10 @@ def work_error_study(
             works = []
             for rep in range(reps):
                 cell = _CTX_WORKERR | (((mi * len(eps_targets) + ei) * reps) + rep)
-                report = _run_method(problem, method, eps, eta, warmup, seed, cell, threads)
+                report = estimator.solve(
+                    problem, method, eps, eta, warmup=warmup, seed=seed, threads=threads,
+                    context=cell,
+                )
                 values.append(report.value)
                 works.append(report.total_steps)
                 records.append(

@@ -20,9 +20,12 @@ from mlwos.estimator import (
     model_allocation,
     optimal_allocation,
     resolve_threads,
+    sample_level,
+    solve,
+    stream_context,
 )
 from mlwos.geometry import ball_problem, get_problem, hemisphere_problem, square_problem
-from mlwos.walk import StepLimitExceeded
+from mlwos.walk import DEFAULT_MAX_STEPS, StepLimitExceeded, run_many
 
 SQUARE = square_problem()
 HEMI = hemisphere_problem()
@@ -327,3 +330,69 @@ class TestReportSchema:
         rep = mlmc_estimate(SQUARE, plan, seed=7, threads=1)
         total = sum(round(st.mean_steps * st.count) for st in rep.level_stats)
         assert rep.total_steps == total
+
+
+class TestSampleLevel:
+    # Off-center start, so plain values and pair corrections both vary.
+    X1 = ball_problem(2, data="x1", start=(0.3, 0.2))
+
+    def _level(self, widths):
+        ctx = stream_context(5)
+        values, steps = sample_level(
+            self.X1, widths, 300, seed=3, context=ctx, level=2, start_index=40,
+            max_steps=DEFAULT_MAX_STEPS, threads=1,
+        )
+        batch = run_many(
+            self.X1.domain, self.X1.start, widths, master_seed=3, context=ctx, level=2,
+            start_index=40, count=300, threads=1,
+        )
+        assert np.ptp(values) > 0.0
+        np.testing.assert_array_equal(steps, batch.steps[-1])
+        return values, batch
+
+    def test_plain_level_is_boundary_values(self):
+        values, batch = self._level((0.01,))
+        np.testing.assert_array_equal(values, self.X1.bc(batch.exits[0]))
+
+    def test_pair_level_is_fine_minus_coarse(self):
+        values, batch = self._level((0.1, 0.01))
+        np.testing.assert_array_equal(
+            values, self.X1.bc(batch.exits[1]) - self.X1.bc(batch.exits[0])
+        )
+
+
+class TestSolve:
+    @pytest.mark.parametrize("method", ["wos", "WOS"])
+    @pytest.mark.parametrize("m", [None, 300])
+    def test_wos_is_mc_estimate(self, method, m):
+        got = solve(SQUARE, method, 0.03, m=m, seed=5, threads=1, context=7)
+        want = mc_estimate(SQUARE, 0.03, m=m, seed=5, threads=1, context=7)
+        assert got.to_dict() == want.to_dict()
+
+    def test_meas_is_adaptive_mlmc(self):
+        got = solve(SQUARE, "MEAS", 0.02, eta=4.0, warmup=50, seed=3, threads=1, context=2)
+        want = adaptive_mlmc(SQUARE, 0.02, 4.0, warmup=50, seed=3, threads=1, context=2)
+        assert got.to_dict() == want.to_dict()
+
+    def test_mlwos_is_modeled_allocation(self):
+        """A 100-sample pilot at the coarsest width on substream 1 anchors
+        the s = 1/3, p = 2 polylog model; its steps count in the work."""
+        ladder = default_ladder(SQUARE, 0.02, 4.0)
+        pilot_v, pilot_s = sample_level(
+            SQUARE, ladder.eps[:1], 100, seed=4, context=stream_context(6, 1),
+            max_steps=DEFAULT_MAX_STEPS, threads=1,
+        )
+        model = AllocationModel(
+            s=1.0 / 3.0, v0=float(np.var(pilot_v, ddof=1)), w0=float(np.mean(pilot_s)),
+            work_mode="polylog", p=2,
+        )
+        plan = LevelPlan(ladder, tuple(model_allocation(model, ladder)))
+        want = mlmc_estimate(SQUARE, plan, seed=4, threads=1, context=6)
+        want.total_steps += int(np.sum(pilot_s))
+        got = solve(SQUARE, "MLWOS", 0.02, eta=4.0, seed=4, threads=1, context=6)
+        assert ladder.levels == 2
+        assert got.to_dict() == want.to_dict()
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            solve(SQUARE, "mlmc", 0.03, threads=1)

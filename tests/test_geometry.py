@@ -13,7 +13,6 @@ from mlwos.geometry import (
     boundary_value,
     get_problem,
     hemisphere_problem,
-    reference_value,
     square_problem,
 )
 
@@ -170,18 +169,18 @@ class TestReferenceValues:
     def test_hemisphere_analytic(self):
         prob = hemisphere_problem()
         expected = (0.04 + 0.09 + 1.21) ** -0.5
-        assert reference_value(prob) == pytest.approx(expected, abs=1e-12)
+        assert prob.reference_solution == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.863868, abs=5e-7)
         assert prob.reference_provenance == "analytic"
 
     def test_square_oracle_registered(self):
         prob = square_problem()
         assert prob.reference_provenance == "oracle"
-        assert reference_value(prob) == pytest.approx(0.5227663, abs=1e-12)
+        assert prob.reference_solution == pytest.approx(0.5227663, abs=1e-12)
 
     def test_ball_constant_extension(self):
         prob = ball_problem(2)
-        assert reference_value(prob) == 1.0
+        assert prob.reference_solution == 1.0
         assert prob.bc((0.6, -0.8)) == 1.0
 
 

@@ -164,9 +164,21 @@ class TestUniformDirection:
             _box_muller_reference(own)[:dim, 0],
         )
 
+    @staticmethod
+    def _stream_directions(dim, key, n):
+        """The first ``n`` directions of stream ``key`` from one
+        ``_directions`` call; the first 2000 are checked bit for bit against
+        sequential ``uniform_direction`` draws."""
+        k0, k1 = walk._key_words(key.master_seed, key.context, key.level)
+        word = np.array([key.sample_index], dtype=np.uint64)
+        lanes = walk._raw_lanes(k0, k1, word, 0, n * walk._lanes_per_direction(dim))
+        dirs = walk._directions(dim, lanes)
+        s = derive_stream(key)
+        np.testing.assert_array_equal(dirs[:2000], [uniform_direction(dim, s) for _ in range(2000)])
+        return dirs
+
     def test_one_dimension_is_sign(self):
-        s = derive_stream(StreamKey(3))
-        draws = np.array([uniform_direction(1, s)[0] for _ in range(10_000)])
+        draws = self._stream_directions(1, StreamKey(3), 10_000)[:, 0]
         assert set(np.unique(draws)) == {-1.0, 1.0}
         assert abs(np.mean(draws > 0) - 0.5) < 0.015
 
@@ -178,9 +190,8 @@ class TestUniformDirection:
                 assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
     def test_planar_angles_uniform(self):
-        s = derive_stream(StreamKey(6))
         n = 100_000
-        dirs = np.array([uniform_direction(2, s) for _ in range(n)])
+        dirs = self._stream_directions(2, StreamKey(6), n)
         angles = np.arctan2(dirs[:, 1], dirs[:, 0])
         counts, _ = np.histogram(angles, bins=16, range=(-np.pi, np.pi))
         expected = n / 16
