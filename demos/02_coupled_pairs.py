@@ -8,16 +8,17 @@ and small differences are the entire multilevel advantage.
 
 import numpy as np
 
-from mlwos import StreamKey, derive_stream, get_problem, ml_pair, run_many
+from mlwos import get_problem, run_many
 
 problem = get_problem("square")
 domain, bc = problem.domain, problem.bc
 
-pair = ml_pair(domain, problem.start, 0.1, 0.1 / 16, stream=derive_stream(StreamKey(42)), bc=bc)
+pair = run_many(domain, problem.start, [0.1, 0.1 / 16], master_seed=42, count=1)
+coarse, fine = bc(pair.exits[:, 0])
 print("one pair, widths 0.1 -> 0.00625:")
-print(f"  coarse stop after {pair.coarse.steps} steps at {np.round(pair.coarse.stop_point, 4)}")
-print(f"  fine   stop after {pair.fine.steps} steps at {np.round(pair.fine.stop_point, 4)}")
-print(f"  boundary values {pair.coarse.value:.4f} / {pair.fine.value:.4f}, diff {pair.diff:+.4f}")
+print(f"  coarse stop after {pair.steps[0, 0]} steps at {np.round(pair.stops[0, 0], 4)}")
+print(f"  fine   stop after {pair.steps[1, 0]} steps at {np.round(pair.stops[1, 0], 4)}")
+print(f"  boundary values {coarse:.4f} / {fine:.4f}, diff {fine - coarse:+.4f}")
 
 batch = run_many(domain, problem.start, [0.1, 0.1 / 16], master_seed=42, count=20_000)
 coarse_vals = bc(batch.exits[0])

@@ -8,7 +8,14 @@ or 8, and any single path can be replayed in isolation.
 
 import numpy as np
 
-from mlwos import StreamKey, adaptive_mlmc, derive_stream, get_problem, wos_walk
+from mlwos import (
+    DEFAULT_MAX_STEPS,
+    adaptive_mlmc,
+    get_problem,
+    run_many,
+    sample_level,
+    stream_context,
+)
 
 problem = get_problem("hemisphere")
 
@@ -20,10 +27,20 @@ for t, rep in zip((1, 2, 8), reports):
     print(f"  threads={t}: value={rep.value!r} work={rep.total_steps}")
 assert len({rep.value for rep in reports}) == 1
 
-# replay one specific sample of the level-0 population by its key alone
-key = StreamKey(master_seed=11, context=0, level=0, sample_index=31_415)
-walk_a = wos_walk(problem.domain, problem.start, 5e-3, stream=derive_stream(key))
-walk_b = wos_walk(problem.domain, problem.start, 5e-3, stream=derive_stream(key))
-assert np.array_equal(walk_a.exit_point, walk_b.exit_point)
-print(f"\nsample 31415 replayed from its key: {walk_a.steps} steps, "
-      f"exit {np.round(walk_a.exit_point, 5)}")
+# replay one sample of the level-0 population by its key alone: seed 11,
+# the estimator's stream context, level 0 and the sample index
+rep, index = reports[0], 1_000
+assert index < rep.m[0]
+population, _ = sample_level(
+    problem, (rep.eps[0],), rep.m[0], seed=11, context=stream_context(0),
+    max_steps=DEFAULT_MAX_STEPS, threads=1,
+)
+assert population.mean() == rep.level_stats[0].mean  # the estimate's own samples
+one = run_many(
+    problem.domain, problem.start, [rep.eps[0]], master_seed=11,
+    context=stream_context(0), level=0, start_index=index, count=1,
+)
+value = problem.bc(one.exits[0, 0])
+assert value == population[index]
+print(f"\nlevel-0 sample {index} of {rep.m[0]} at width {rep.eps[0]:g} replayed from its key:")
+print(f"  {one.steps[0, 0]} steps, exit {np.round(one.exits[0, 0], 5)}, value {value:.6f}")

@@ -19,16 +19,9 @@ from .geometry import (
 )
 from .walk import (
     DEFAULT_MAX_STEPS,
-    MlPair,
     StepLimitExceeded,
-    Stream,
     StreamKey,
-    WalkResult,
-    derive_stream,
-    ml_pair,
     run_many,
-    uniform_direction,
-    wos_walk,
 )
 from .estimator import (
     AllocationModel,

@@ -239,7 +239,7 @@ def _run_solve(config: RunConfig) -> str:
     _emit(config, doc, csv, summary)
     return (
         f"{config.problem} {method.lower()}: value={report.value:.6f} "
-        f"stat_error={report.stat_error:.2e} discr_bound={report.discr_error_bound:.2e} "
+        f"stat_error={report.stat_error:.2e} discr_bound={report.eps_target:.2e} "
         f"work={report.total_steps} wall={elapsed:.2f}s"
     )
 
@@ -304,16 +304,13 @@ def _run_workerr(config: RunConfig) -> str:
 
 def _run_trace(config: RunConfig) -> str:
     problem = get_problem(config.problem)
-    stream = walk.derive_stream(walk.StreamKey(config.seed))
-    result = walk.wos_walk(
-        problem.domain, problem.start, config.eps_target, stream=stream,
-        bc=problem.bc, trace=True,
+    batch = walk.run_many(
+        problem.domain, problem.start, [config.eps_target], master_seed=config.seed, trace=True
     )
+    value = float(problem.bc(batch.exits[0, 0]))
     path = config.trace_path or config.output
-    _write(path, walk.trace_csv(problem.domain, result.trace))
-    return (
-        f"trace: {result.steps} steps, exit value {result.value:.6f}, written to {path}"
-    )
+    _write(path, walk.trace_csv(problem.domain, batch.trace))
+    return f"trace: {batch.steps[0, 0]} steps, exit value {value:.6f}, written to {path}"
 
 
 _RUNNERS = {

@@ -65,7 +65,7 @@ _ANALYTIC_P = 2
 
 
 def stream_context(base: int, sub: int = _SUB_MAIN) -> int:
-    """Stream context word of the caller's context ``base`` (28 bits) and
+    """The stream context word of the caller's context ``base`` (28 bits) and
     an estimator substream tag in the low four bits."""
     if not 0 <= base < 2 ** 28:
         raise ValueError("context must fit in 28 bits")
@@ -303,9 +303,9 @@ class EstimateReport:
     """A point estimate with its per-level bookkeeping.
 
     ``stat_error`` is sqrt(sum_l variance_l / count_l); the discretization
-    component is bounded by the finest stopping width up to an unknown
-    constant, reported separately as ``discr_error_bound``. ``wall_time`` is
-    measured; ``to_dict`` writes it as 0.0 so artifacts stay byte-stable.
+    component is bounded by the finest stopping width, ``eps_target``, up
+    to an unknown constant. ``wall_time`` is measured; ``to_dict`` writes
+    it as 0.0 so artifacts stay byte-stable.
     """
 
     value: float
@@ -316,7 +316,6 @@ class EstimateReport:
     level_stats: list
     total_steps: int
     stat_error: float
-    discr_error_bound: float
     seed: int
     wall_time: float = 0.0
 
@@ -396,7 +395,6 @@ def _report(eps, eta, levels, seed, t0) -> EstimateReport:
         level_stats=stats,
         total_steps=int(sum(int(s.sum()) for _, s in levels)),
         stat_error=math.sqrt(sum(st.variance / st.count for st in stats)),
-        discr_error_bound=float(eps[-1]),
         seed=seed,
         wall_time=time.perf_counter() - t0,
     )

@@ -36,15 +36,8 @@ from .geometry import Domain, as_point
 
 __all__ = [
     "StreamKey",
-    "Stream",
-    "WalkResult",
-    "MlPair",
     "BatchResult",
     "StepLimitExceeded",
-    "derive_stream",
-    "uniform_direction",
-    "wos_walk",
-    "ml_pair",
     "run_many",
     "trace_csv",
     "DEFAULT_MAX_STEPS",
@@ -172,28 +165,21 @@ def _key_words(master_seed: int, context: int, level: int):
     return _u64(master_seed), _u64((context << 16) | level)
 
 
-def _raw_lanes(k0, k1, words, j0, n):
-    """Uniform uint64 lanes [j0, j0+n) of each stream word in ``words``, as
-    an (n, rows) array: lane ``j0[r] + i`` of stream ``words[r]`` at [i, r].
+def _raw_lanes(k0, k1, words, first, blocks):
+    """Uniform uint64 lanes of Philox blocks ``first`` to ``first + blocks
+    - 1`` of each stream word in ``words``, as a (4 * blocks, rows) array:
+    lane ``4 * first[r] + i`` of stream ``words[r]`` at [i, r].
 
-    Lane j lives in Philox block j//4 at position j%4; blocks are generated
-    in one vectorized call over a (blocks, rows) counter grid.
+    Lane j lives in block j//4 at position j%4; blocks are generated in one
+    vectorized call over a (blocks, rows) counter grid.
     """
-    rows = len(words)
-    j0 = np.broadcast_to(np.asarray(j0, dtype=np.int64), (rows,))
-    start = j0 % 4
-    nblk = (int(start.max(initial=0)) + n + 3) // 4
-    c0 = (np.arange(nblk, dtype=np.int64)[:, None] + j0 // 4).astype(np.uint64)
+    c0 = (np.arange(blocks, dtype=np.int64)[:, None] + first).astype(np.uint64)
     zero = _u64(0)
     block = philox4x64(c0, words, zero, zero, k0, k1)
-    lanes = np.empty((nblk, 4, rows), dtype=np.uint64)
+    lanes = np.empty((blocks, 4, len(words)), dtype=np.uint64)
     for q in range(4):
         lanes[:, q] = block[q]
-    lanes = lanes.reshape(4 * nblk, rows)
-    if n == 4 * nblk:  # every row starts on a block boundary
-        return lanes
-    idx = start + np.arange(n)[:, None]
-    return np.take_along_axis(lanes, idx, axis=0)
+    return lanes.reshape(4 * blocks, len(words))
 
 
 def _lanes_to_normals(lanes, dim):
@@ -253,55 +239,6 @@ def _directions(dim, lanes):
     return g.T
 
 
-class Stream:
-    """Sequential view of one counter-based stream.
-
-    Tracks the number of uniform lanes consumed so far; all draws are
-    reproducible functions of (key, position).
-    """
-
-    def __init__(self, key: StreamKey):
-        self.key = key
-        self._k0, self._k1 = _key_words(key.master_seed, key.context, key.level)
-        self._word = np.array([key.sample_index], dtype=np.uint64)
-        self.pos = 0
-
-    def uniforms(self, n: int) -> np.ndarray:
-        """Next ``n`` uniforms on [0, 1)."""
-        lanes = _raw_lanes(self._k0, self._k1, self._word, self.pos, int(n))
-        self.pos += int(n)
-        return (lanes[:, 0] >> _S11) * _INV53
-
-    def normals(self, n: int) -> np.ndarray:
-        """Next ``n`` standard gaussians (consumes lanes in whole pairs)."""
-        n = int(n)
-        if n < 1:
-            return np.empty(0)
-        pairs = (n + 1) // 2
-        lanes = _raw_lanes(self._k0, self._k1, self._word, self.pos, 2 * pairs)
-        self.pos += 2 * pairs
-        return _lanes_to_normals(lanes, n)[:, 0, 0]
-
-    def direction(self, dim: int) -> np.ndarray:
-        """Next uniform unit vector on the (dim-1)-sphere."""
-        n = _lanes_per_direction(dim)
-        g = _directions(dim, _raw_lanes(self._k0, self._k1, self._word, self.pos, n))
-        self.pos += n
-        return g[0]
-
-
-def derive_stream(key: StreamKey) -> Stream:
-    """Independent deterministic stream for ``key``; O(1) construction."""
-    return Stream(key)
-
-
-def uniform_direction(d: int, stream: Stream) -> np.ndarray:
-    """Draw a uniformly distributed unit vector of length ``d``."""
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
-    return stream.direction(d)
-
-
 class StepLimitExceeded(RuntimeError):
     """A walk exceeded ``max_steps``; ``key`` is the stream it drew from.
 
@@ -324,59 +261,22 @@ class StepLimitExceeded(RuntimeError):
 
 
 @dataclass
-class WalkResult:
-    """Outcome of one walk: where it stopped, where that projects, how long
-    it took. ``value`` is boundary data at the exit point, filled when the
-    caller supplies a boundary condition."""
-
-    stop_point: np.ndarray
-    exit_point: np.ndarray
-    steps: int
-    value: Optional[float] = None
-    trace: Optional[np.ndarray] = None
-
-
-@dataclass
-class MlPair:
-    """A coupled coarse/fine observation of one walk (the fine path extends
-    the coarse one; the coarse records are a prefix of the fine path)."""
-
-    coarse: WalkResult
-    fine: WalkResult
-    diff: Optional[float] = None
-
-
-@dataclass
 class BatchResult:
     """Arrays for ``count`` walks recorded at each stopping width.
 
     ``stops``/``exits`` have shape (num_thresholds, count, dim); ``steps``
     has shape (num_thresholds, count). Row order is sample-index order.
+    A traced walk's positions, the start and every step, are ``trace``.
     """
 
     thresholds: tuple
     stops: np.ndarray
     exits: np.ndarray
     steps: np.ndarray
+    trace: Optional[np.ndarray] = None
 
 
-def _check_thresholds(domain: Domain, x0: np.ndarray, thresholds) -> np.ndarray:
-    thr = np.asarray(thresholds, dtype=np.float64)
-    if thr.ndim != 1 or thr.size == 0:
-        raise ValueError("need at least one stopping width")
-    if np.any(thr <= 0.0):
-        raise ValueError("stopping widths must be positive")
-    if np.any(np.diff(thr) > 0.0):
-        raise ValueError("stopping widths must be nonincreasing")
-    d0 = domain.distance_to_boundary(x0)
-    if thr[0] >= d0:
-        raise ValueError(
-            f"stopping width {thr[0]:g} is not below the start distance {d0:g}"
-        )
-    return thr
-
-
-def _walk_chunk(domain, x0, thr, key, count, offset, max_steps, stops, steps, trace=False):
+def _walk_chunk(domain, x0, thr, key, count, max_steps, stops, steps, trace=False):
     """Run the walks of samples ``key.sample_index`` to ``+ count - 1`` as
     one wavefront.
 
@@ -392,8 +292,9 @@ def _walk_chunk(domain, x0, thr, key, count, offset, max_steps, stops, steps, tr
     the width. Every draw but a walk's last is used in full, and its last
     is at most one stride longer than all its earlier draws together, so
     the lanes drawn stay below twice the lanes used plus one stride per
-    walk. Step ``t`` of every walk uses lanes ``offset + t*L`` to
-    ``offset + (t+1)*L - 1`` of its stream (``L`` lanes per direction).
+    walk. Step ``t`` of every walk uses lanes ``t*L`` to ``(t+1)*L - 1`` of
+    its stream (``L`` lanes per direction). Walks enter and draw in whole
+    strides, so every draw starts on a block boundary.
 
     Sample ``key.sample_index + i`` writes column ``i`` of ``stops``
     (nthr, count, dim) and ``steps`` (nthr, count). With ``trace`` (one
@@ -439,8 +340,8 @@ def _walk_chunk(domain, x0, thr, key, count, offset, max_steps, stops, steps, tr
             nsub *= reach
             reach *= 2
         lanes = _raw_lanes(
-            k0, k1, first + idx.astype(np.uint64), offset + (now - entry) * lanes_per_step,
-            nsub * lanes_per_step,
+            k0, k1, first + idx.astype(np.uint64), (now - entry) * lanes_per_step // 4,
+            nsub * lanes_per_step // 4,
         )
         # (dim, sub-step, column of this draw); the lanes are not kept.
         dirs = _directions(dim, lanes).T.reshape(dim, nsub, idx.size)
@@ -491,6 +392,7 @@ def run_many(
     count: int = 1,
     max_steps: int = DEFAULT_MAX_STEPS,
     threads: int = 1,
+    trace: bool = False,
 ) -> BatchResult:
     """Run ``count`` independent walks, each recorded at every threshold.
 
@@ -499,12 +401,25 @@ def run_many(
     written to slots in sample-index order, so the output is bitwise
     reproducible for any ``threads``. With ``threads > 1`` the samples are
     split into contiguous ranges, one wavefront each, but only into as many
-    as hold a full ``_WIDTH`` of walks.
+    as hold a full ``_WIDTH`` of walks. One walk is ``count=1``; with
+    ``trace=True`` (one walk only) the result's ``trace`` holds its
+    (steps + 1, dim) positions, the start included.
     """
     x0 = as_point(x0, domain.dim)
-    thr = _check_thresholds(domain, x0, thresholds)
+    thr = np.asarray(thresholds, dtype=np.float64)
+    if thr.ndim != 1 or thr.size == 0:
+        raise ValueError("need at least one stopping width")
+    if np.any(thr <= 0.0):
+        raise ValueError("stopping widths must be positive")
+    if np.any(np.diff(thr) > 0.0):
+        raise ValueError("stopping widths must be nonincreasing")
+    d0 = domain.distance_to_boundary(x0)
+    if thr[0] >= d0:
+        raise ValueError(f"stopping width {thr[0]:g} is not below the start distance {d0:g}")
     if count < 1:
         raise ValueError("count must be positive")
+    if trace and count != 1:
+        raise ValueError("trace records one walk; count must be 1")
     StreamKey(master_seed, context, level, start_index + count - 1)  # range check
 
     nthr = thr.size
@@ -515,99 +430,25 @@ def run_many(
 
     def work(lo, hi):
         key = StreamKey(master_seed, context, level, start_index + lo)
-        _walk_chunk(
-            domain, x0, thr, key, hi - lo, 0, max_steps, stops[:, lo:hi], steps[:, lo:hi]
+        return _walk_chunk(
+            domain, x0, thr, key, hi - lo, max_steps, stops[:, lo:hi], steps[:, lo:hi], trace
         )
 
+    history = None
     if parts > 1:
         with ThreadPoolExecutor(max_workers=parts) as pool:
             # Results are read in range order, so the lowest range's
             # StepLimitExceeded is the one raised.
             list(pool.map(work, bounds[:-1], bounds[1:]))
     else:
-        work(0, count)
+        history = work(0, count)
 
     exits = np.empty_like(stops)
     for k in range(nthr):
         exits[k] = domain._proj(stops[k])
-    return BatchResult(tuple(thr.tolist()), stops, exits, steps)
-
-
-def _single(domain, x0, thr, stream, max_steps, trace):
-    x0 = as_point(x0, domain.dim)
-    thr = _check_thresholds(domain, x0, thr)
-    stops = np.empty((thr.size, 1, domain.dim))
-    steps = np.empty((thr.size, 1), dtype=np.int64)
-    history = _walk_chunk(
-        domain, x0, thr, stream.key, 1, stream.pos, max_steps, stops, steps, trace
+    return BatchResult(
+        tuple(thr.tolist()), stops, exits, steps, np.stack(history) if trace else None
     )
-    stream.pos += int(steps[-1, 0]) * _lanes_per_direction(domain.dim)
-    results = []
-    for k in range(thr.size):
-        stop = stops[k, 0]
-        results.append(
-            WalkResult(
-                stop_point=stop,
-                exit_point=domain._proj(stop[None, :])[0],
-                steps=int(steps[k, 0]),
-            )
-        )
-    if trace:
-        results[-1].trace = np.stack(history)
-    return results
-
-
-def wos_walk(
-    domain: Domain,
-    x0,
-    eps: float,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    stream: Stream = None,
-    bc=None,
-    trace: bool = False,
-) -> WalkResult:
-    """One walk-on-spheres path from ``x0`` until within ``eps`` of the
-    boundary. The caller's boundary condition fills ``value`` when given.
-
-    With ``trace=True`` the result carries the full position history, one
-    row per step including the start.
-    """
-    if stream is None:
-        raise ValueError("wos_walk needs a stream; use derive_stream(StreamKey(...))")
-    (result,) = _single(domain, x0, [eps], stream, max_steps, trace)
-    if bc is not None:
-        result.value = float(bc(result.exit_point))
-    return result
-
-
-def ml_pair(
-    domain: Domain,
-    x0,
-    eps_coarse: float,
-    eps_fine: float,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    stream: Stream = None,
-    bc=None,
-    trace: bool = False,
-) -> MlPair:
-    """One coupled pair: a single path recorded first at ``eps_coarse``,
-    then continued (same stream, no reset) until ``eps_fine``.
-
-    ``diff`` is boundary data at the fine exit minus at the coarse exit when
-    ``bc`` is given. With ``eps_coarse == eps_fine`` the records coincide and
-    the difference is exactly zero.
-    """
-    if stream is None:
-        raise ValueError("ml_pair needs a stream; use derive_stream(StreamKey(...))")
-    if eps_fine > eps_coarse:
-        raise ValueError("eps_fine must not exceed eps_coarse")
-    coarse, fine = _single(domain, x0, [eps_coarse, eps_fine], stream, max_steps, trace)
-    pair = MlPair(coarse=coarse, fine=fine)
-    if bc is not None:
-        coarse.value = float(bc(coarse.exit_point))
-        fine.value = float(bc(fine.exit_point))
-        pair.diff = fine.value - coarse.value
-    return pair
 
 
 def trace_csv(domain: Domain, positions: np.ndarray) -> str:

@@ -190,6 +190,10 @@ class TestTraceCommand:
         assert lines[0] == "step,x1,x2,dist"
         assert lines[1].startswith("0,1.0,1.0,")
         assert len(lines) >= 3
+        assert res.stdout.startswith("trace: ")
+        steps = int(res.stdout.split()[1])
+        assert len(lines) == steps + 2
+        assert float(lines[-1].split(",")[-1]) < 0.01
 
 
 class TestWorkerrCommand:

@@ -1,8 +1,11 @@
 """Checks on the package's sources: modules use each other only through
-public names."""
+public names, and every name a module exports exists."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 import mlwos
 
@@ -66,6 +69,14 @@ def test_scanner_flags_both_forms_only():
         "estimator._sample_plain",
     }
     assert private_cross_module_names("from .walk import _WIDTH\n", "walk") == set()
+
+
+@pytest.mark.parametrize("name", sorted(MODULES - {"__init__", "__main__"}))
+def test_all_entries_resolve(name):
+    # A stale ``__all__`` entry otherwise fails only on ``import *``.
+    module = importlib.import_module(f"mlwos.{name}")
+    missing = [entry for entry in module.__all__ if not hasattr(module, entry)]
+    assert not missing, f"mlwos.{name}.__all__ names undefined {missing}"
 
 
 def test_no_private_cross_module_names():

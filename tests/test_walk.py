@@ -8,18 +8,7 @@ from hypothesis import strategies as st
 
 from mlwos import walk
 from mlwos.geometry import Ball, Hemisphere, Square, ball_problem, square_problem
-from mlwos.walk import (
-    StepLimitExceeded,
-    Stream,
-    StreamKey,
-    derive_stream,
-    ml_pair,
-    philox4x64,
-    run_many,
-    trace_csv,
-    uniform_direction,
-    wos_walk,
-)
+from mlwos.walk import StepLimitExceeded, StreamKey, philox4x64, run_many, trace_csv
 
 SQUARE = Square()
 
@@ -59,6 +48,24 @@ def _u64(v):
     return np.array(v, dtype=np.uint64)
 
 
+def _lanes(key, blocks, first=0):
+    """Lanes of Philox blocks ``first`` to ``first + blocks - 1`` of stream
+    ``key``, as a (4 * blocks,) array."""
+    k0, k1 = walk._key_words(key.master_seed, key.context, key.level)
+    word = np.array([key.sample_index], dtype=np.uint64)
+    return walk._raw_lanes(k0, k1, word, first, blocks)[:, 0]
+
+
+def _uniforms(lanes):
+    return (lanes >> np.uint64(11)) * 2.0 ** -53
+
+
+def _stream_directions(dim, key, n):
+    """The first ``n`` (even) directions of stream ``key``, as (n, dim)."""
+    lanes = _lanes(key, n * walk._lanes_per_direction(dim) // 4)
+    return walk._directions(dim, lanes[:, None])
+
+
 class TestPhiloxKernel:
     def test_matches_numpy_bit_generator(self):
         # numpy's Philox emits the block for counter+1 first; our kernel is
@@ -90,28 +97,34 @@ class TestPhiloxKernel:
 
 
 class TestStreams:
+    """Lanes of one stream, as the engine draws them with ``_raw_lanes``."""
+
     def test_same_key_same_draws(self):
-        a = derive_stream(StreamKey(123, context=4, level=2, sample_index=9))
-        b = derive_stream(StreamKey(123, context=4, level=2, sample_index=9))
-        np.testing.assert_array_equal(a.uniforms(1000), b.uniforms(1000))
+        key = StreamKey(123, context=4, level=2, sample_index=9)
+        np.testing.assert_array_equal(_lanes(key, 250), _lanes(key, 250))
 
     def test_adjacent_sample_indices_uncorrelated(self):
-        a = derive_stream(StreamKey(5, sample_index=100)).uniforms(10_000)
-        b = derive_stream(StreamKey(5, sample_index=101)).uniforms(10_000)
-        corr = np.corrcoef(a, b)[0, 1]
+        k0, k1 = walk._key_words(5, 0, 0)
+        words = np.array([100, 101], dtype=np.uint64)
+        u = _uniforms(walk._raw_lanes(k0, k1, words, 0, 2500))
+        corr = np.corrcoef(u[:, 0], u[:, 1])[0, 1]
         assert abs(corr) < 0.05
 
     def test_uniform_mean(self):
-        u = derive_stream(StreamKey(0)).uniforms(1_000_000)
+        u = _uniforms(_lanes(StreamKey(0), 250_000))
         assert abs(u.mean() - 0.5) < 0.002
         assert u.min() >= 0.0 and u.max() < 1.0
 
     def test_draws_chunk_invariant(self):
-        a = derive_stream(StreamKey(77))
-        b = derive_stream(StreamKey(77))
-        whole = a.uniforms(100)
-        parts = np.concatenate([b.uniforms(n) for n in (1, 9, 40, 50)])
+        """Draws split at block boundaries, and rows that start at different
+        blocks in one call, give the lanes of one whole draw."""
+        key = StreamKey(77)
+        whole = _lanes(key, 25)
+        parts = np.concatenate([_lanes(key, n, first) for first, n in ((0, 1), (1, 9), (10, 15))])
         np.testing.assert_array_equal(whole, parts)
+        k0, k1 = walk._key_words(77, 0, 0)
+        rows = walk._raw_lanes(k0, k1, np.zeros(3, dtype=np.uint64), np.array([0, 10, 20]), 5)
+        np.testing.assert_array_equal(rows.T, whole.reshape(5, 20)[[0, 2, 4]])
 
     def test_field_ranges_validated(self):
         with pytest.raises(ValueError):
@@ -122,10 +135,10 @@ class TestStreams:
             StreamKey(0, level=2 ** 16)
 
     def test_normals_standardized(self):
-        z = derive_stream(StreamKey(1)).normals(200_000)
+        z = walk._lanes_to_normals(_lanes(StreamKey(1), 50_000)[:, None], 2)
+        assert z.size == 200_000
         assert abs(z.mean()) < 0.01
         assert abs(z.std() - 1.0) < 0.01
-        assert derive_stream(StreamKey(1)).normals(0).shape == (0,)
 
 
 def _box_muller_reference(lanes):
@@ -157,41 +170,25 @@ class TestUniformDirection:
             for j in range(1, dim):
                 n2 = n2 + g[j] * g[j]
             np.testing.assert_array_equal(got[t * rows:(t + 1) * rows], (g / np.sqrt(n2)).T)
-        k0, k1 = walk._key_words(9, 0, 0)
-        own = walk._raw_lanes(k0, k1, np.array([dim], dtype=np.uint64), 0, lanes_per_step)
+        own = _lanes(StreamKey(9, sample_index=dim), 2)[:lanes_per_step, None]
         np.testing.assert_array_equal(
-            derive_stream(StreamKey(9, sample_index=dim)).normals(dim),
-            _box_muller_reference(own)[:dim, 0],
+            walk._lanes_to_normals(own, dim)[:, 0, 0], _box_muller_reference(own)[:dim, 0]
         )
 
-    @staticmethod
-    def _stream_directions(dim, key, n):
-        """The first ``n`` directions of stream ``key`` from one
-        ``_directions`` call; the first 2000 are checked bit for bit against
-        sequential ``uniform_direction`` draws."""
-        k0, k1 = walk._key_words(key.master_seed, key.context, key.level)
-        word = np.array([key.sample_index], dtype=np.uint64)
-        lanes = walk._raw_lanes(k0, k1, word, 0, n * walk._lanes_per_direction(dim))
-        dirs = walk._directions(dim, lanes)
-        s = derive_stream(key)
-        np.testing.assert_array_equal(dirs[:2000], [uniform_direction(dim, s) for _ in range(2000)])
-        return dirs
-
     def test_one_dimension_is_sign(self):
-        draws = self._stream_directions(1, StreamKey(3), 10_000)[:, 0]
+        draws = _stream_directions(1, StreamKey(3), 10_000)[:, 0]
         assert set(np.unique(draws)) == {-1.0, 1.0}
         assert abs(np.mean(draws > 0) - 0.5) < 0.015
 
     def test_unit_norm(self):
-        s = derive_stream(StreamKey(4))
         for dim in (1, 2, 3, 5):
-            for _ in range(50):
-                v = uniform_direction(dim, s)
-                assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+            dirs = _stream_directions(dim, StreamKey(4), 50)
+            assert dirs.shape == (50, dim)
+            assert np.all(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) <= 1e-12)
 
     def test_planar_angles_uniform(self):
         n = 100_000
-        dirs = self._stream_directions(2, StreamKey(6), n)
+        dirs = _stream_directions(2, StreamKey(6), n)
         angles = np.arctan2(dirs[:, 1], dirs[:, 0])
         counts, _ = np.histogram(angles, bins=16, range=(-np.pi, np.pi))
         expected = n / 16
@@ -200,16 +197,16 @@ class TestUniformDirection:
 
     def test_rejects_zero_dimension(self):
         with pytest.raises(ValueError):
-            uniform_direction(0, derive_stream(StreamKey(0)))
+            Ball(0)
 
 
 class TestWosWalk:
     def test_ball_center_single_step(self):
         ball = Ball(3, 1.0)
         for seed in range(5):
-            res = wos_walk(ball, (0.0, 0.0, 0.0), 0.3, stream=derive_stream(StreamKey(seed)))
-            assert res.steps == 1
-            assert np.linalg.norm(res.exit_point) == pytest.approx(1.0, abs=1e-12)
+            res = run_many(ball, (0.0, 0.0, 0.0), [0.3], master_seed=seed)
+            assert res.steps[0, 0] == 1
+            assert np.linalg.norm(res.exits[0, 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_data_centers_on_zero(self):
         prob = ball_problem(2, data="x1")
@@ -220,7 +217,7 @@ class TestWosWalk:
 
     def test_rejects_eps_at_or_beyond_start_distance(self):
         with pytest.raises(ValueError, match="stopping width"):
-            wos_walk(SQUARE, (1.0, 1.0), 1.0, stream=derive_stream(StreamKey(0)))
+            run_many(SQUARE, (1.0, 1.0), [1.0], master_seed=0)
 
     def test_step_limit_signals_sample(self):
         with pytest.raises(StepLimitExceeded) as err:
@@ -250,29 +247,10 @@ class TestWosWalk:
             assert err.value.sample_index == 101 + int(failing[0])
             assert err.value.max_steps == max_steps
 
-    def test_value_filled_from_bc(self):
-        prob = ball_problem(2)
-        res = wos_walk(prob.domain, prob.start, 0.5, stream=derive_stream(StreamKey(1)), bc=prob.bc)
-        assert res.value == 1.0
-
-    def test_walk_matches_run_many_row(self):
-        key = StreamKey(99, context=5, level=0, sample_index=172)
-        single = wos_walk(SQUARE, (1.0, 1.0), 1e-2, stream=derive_stream(key))
-        batch = run_many(
-            SQUARE, (1.0, 1.0), [1e-2], master_seed=99, context=5, level=0,
-            start_index=170, count=5,
-        )
-        np.testing.assert_array_equal(single.stop_point, batch.stops[0, 2])
-        np.testing.assert_array_equal(single.exit_point, batch.exits[0, 2])
-        assert single.steps == batch.steps[0, 2]
-
 
 class TestWalkInvariants:
     def test_step_size_exactness_and_containment(self):
-        res = wos_walk(
-            SQUARE, (1.0, 1.0), 1e-3, stream=derive_stream(StreamKey(13)), trace=True
-        )
-        pts = res.trace
+        pts = run_many(SQUARE, (1.0, 1.0), [1e-3], master_seed=13, trace=True).trace
         dists = np.array([SQUARE.distance_to_boundary(p) for p in pts])
         jumps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         np.testing.assert_allclose(jumps, dists[:-1], atol=1e-12 * SQUARE.diameter)
@@ -388,29 +366,30 @@ class TestEngineProperties:
         assert np.all(np.diff(batch.steps, axis=0) >= 0)
 
     @PROPERTY
-    @given(case=CASES, offset=st.integers(0, 11), fraction=st.floats(0.01, 0.9),
-           index=st.integers(0, 2 ** 64 - 1), seed=SEEDS)
-    def test_single_walk_at_any_lane_offset(self, case, offset, fraction, index, seed):
-        """A walk started mid-stream matches one built step by step from
-        ``Stream.direction``, whether or not the offset is block aligned."""
+    @given(case=CASES, fraction=st.floats(0.01, 0.9), index=st.integers(0, 2 ** 64 - 1),
+           seed=SEEDS)
+    def test_single_walk_matches_stepwise_loop(self, case, fraction, index, seed):
+        """One walk at any seed and sample index matches a loop that takes
+        step ``t``'s direction from lanes ``t*L`` to ``t*L + L - 1`` of its
+        stream, one step at a time."""
         domain, x0 = case
         eps = fraction * domain.distance_to_boundary(x0)
         key = StreamKey(seed, context=2, level=5, sample_index=index)
-        walked, stepped = derive_stream(key), derive_stream(key)
-        if offset:
-            walked.uniforms(offset)
-            stepped.uniforms(offset)
-        res = wos_walk(domain, x0, eps, stream=walked)
+        res = run_many(
+            domain, x0, [eps], master_seed=seed, context=2, level=5, start_index=index
+        )
+        lanes_per_step = walk._lanes_per_direction(domain.dim)
         pos = np.asarray(x0, dtype=np.float64)
         dist = domain._dist(pos[None, :])[0]
         steps = 0
         while dist >= eps:
-            pos = pos + dist * stepped.direction(domain.dim)
+            lo, hi = steps * lanes_per_step, (steps + 1) * lanes_per_step
+            step = _lanes(key, hi // 4 + 1)[lo:hi, None]
+            pos = pos + dist * walk._directions(domain.dim, step)[0]
             dist = max(domain._dist(pos[None, :])[0], 0.0)
             steps += 1
-        np.testing.assert_array_equal(res.stop_point, pos)
-        assert res.steps == steps
-        assert walked.pos == stepped.pos
+        np.testing.assert_array_equal(res.stops[0, 0], pos)
+        assert res.steps[0, 0] == steps
 
 
 class TestTailLookahead:
@@ -430,21 +409,16 @@ class TestTailLookahead:
         ids=["square", "ball1", "ball3", "ball5"],
     )
     def test_long_tailed_calls_match_single_walks(self, domain, x0, thr, count):
-        seed, context, level, start = 2 ** 63 + 5, 11, 3, 1000
-        batch = run_many(
-            domain, x0, thr, master_seed=seed, context=context, level=level,
-            start_index=start, count=count,
-        )
-        for i in range(count):
-            key = StreamKey(seed, context, level, start + i)
-            pair = ml_pair(domain, x0, thr[0], thr[1], stream=derive_stream(key))
-            fine = wos_walk(domain, x0, thr[1], stream=derive_stream(key))
-            for k, rec in enumerate((pair.coarse, pair.fine)):
-                np.testing.assert_array_equal(batch.stops[k, i], rec.stop_point)
-                np.testing.assert_array_equal(batch.exits[k, i], rec.exit_point)
-                assert batch.steps[k, i] == rec.steps
-            np.testing.assert_array_equal(fine.stop_point, pair.fine.stop_point)
-            assert fine.steps == pair.fine.steps
+        """At width 1 every draw is one stride, as if each walk ran alone."""
+        args = dict(master_seed=2 ** 63 + 5, context=11, level=3, start_index=1000, count=count)
+        batch = run_many(domain, x0, thr, **args)
+        with _width(1):
+            stepwise = run_many(domain, x0, thr, **args)
+        _assert_same(batch, stepwise)
+        np.testing.assert_array_equal(batch.exits, stepwise.exits)
+        fine = run_many(domain, x0, thr[1:], **args)
+        np.testing.assert_array_equal(batch.stops[1], fine.stops[0])
+        np.testing.assert_array_equal(batch.steps[1], fine.steps[0])
 
     @pytest.mark.parametrize(
         "domain, x0, eps",
@@ -496,38 +470,39 @@ class TestTailLookahead:
 
 
 class TestMlPair:
+    """One walk recorded at a coarse and a fine width, ``[c, f]``."""
+
     def test_degenerate_coupling_is_exactly_zero(self):
         prob = square_problem()
-        pair = ml_pair(
-            SQUARE, (1.0, 1.0), 0.05, 0.05, stream=derive_stream(StreamKey(2)), bc=prob.bc
-        )
-        assert pair.diff == 0.0
-        assert pair.coarse.steps == pair.fine.steps
-        np.testing.assert_array_equal(pair.coarse.stop_point, pair.fine.stop_point)
+        pair = run_many(SQUARE, (1.0, 1.0), [0.05, 0.05], master_seed=2)
+        assert prob.bc(pair.exits[1, 0]) - prob.bc(pair.exits[0, 0]) == 0.0
+        assert pair.steps[0, 0] == pair.steps[1, 0]
+        np.testing.assert_array_equal(pair.stops[0, 0], pair.stops[1, 0])
 
     def test_ball_center_pair_single_step(self):
         ball = Ball(3, 1.0)
-        pair = ml_pair(ball, (0.0, 0.0, 0.0), 0.5, 1e-3, stream=derive_stream(StreamKey(9)))
-        assert pair.coarse.steps == 1
-        assert pair.fine.steps == 1
+        pair = run_many(ball, (0.0, 0.0, 0.0), [0.5, 1e-3], master_seed=9)
+        assert pair.steps[0, 0] == 1
+        assert pair.steps[1, 0] == 1
 
     def test_fine_extends_coarse(self):
-        pair = ml_pair(SQUARE, (1.0, 1.0), 0.1, 1e-3, stream=derive_stream(StreamKey(17)))
-        assert pair.coarse.steps <= pair.fine.steps
-        assert SQUARE.distance_to_boundary(pair.coarse.stop_point) < 0.1
-        assert SQUARE.distance_to_boundary(pair.fine.stop_point) < 1e-3
+        pair = run_many(SQUARE, (1.0, 1.0), [0.1, 1e-3], master_seed=17)
+        assert pair.steps[0, 0] <= pair.steps[1, 0]
+        assert SQUARE.distance_to_boundary(pair.stops[0, 0]) < 0.1
+        assert SQUARE.distance_to_boundary(pair.stops[1, 0]) < 1e-3
 
     def test_prefix_property_bitwise(self):
         for idx in range(20):
-            key = StreamKey(55, sample_index=idx)
-            pair = ml_pair(
-                SQUARE, (1.0, 1.0), 0.1, 1e-3, stream=derive_stream(key), trace=True
+            pair = run_many(
+                SQUARE, (1.0, 1.0), [0.1, 1e-3], master_seed=55, start_index=idx, trace=True
             )
-            pts = pair.fine.trace
+            pts = pair.trace
+            assert len(pts) == pair.steps[1, 0] + 1
+            np.testing.assert_array_equal(pts[-1], pair.stops[1, 0])
             dists = SQUARE._dist(pts)
             first_inside = int(np.argmax(dists < 0.1))
-            np.testing.assert_array_equal(pts[first_inside], pair.coarse.stop_point)
-            assert first_inside == pair.coarse.steps
+            np.testing.assert_array_equal(pts[first_inside], pair.stops[0, 0])
+            assert first_inside == pair.steps[0, 0]
 
     def test_coupling_reduces_variance(self):
         prob = square_problem()
@@ -539,16 +514,19 @@ class TestMlPair:
 
     def test_rejects_inverted_widths(self):
         with pytest.raises(ValueError):
-            ml_pair(SQUARE, (1.0, 1.0), 0.01, 0.1, stream=derive_stream(StreamKey(0)))
+            run_many(SQUARE, (1.0, 1.0), [0.01, 0.1], master_seed=0)
 
 
 class TestTraceCsv:
     def test_schema_and_content(self):
-        res = wos_walk(
-            SQUARE, (1.0, 1.0), 0.05, stream=derive_stream(StreamKey(41)), trace=True
-        )
+        res = run_many(SQUARE, (1.0, 1.0), [0.05], master_seed=41, trace=True)
         text = trace_csv(SQUARE, res.trace)
         lines = text.strip().split("\n")
         assert lines[0] == "step,x1,x2,dist"
         assert lines[1] == "0,1.0,1.0,1.0"
-        assert len(lines) == res.steps + 2
+        assert len(lines) == res.steps[0, 0] + 2
+
+    def test_trace_records_one_walk(self):
+        with pytest.raises(ValueError, match="count must be 1"):
+            run_many(SQUARE, (1.0, 1.0), [0.05], master_seed=41, count=2, trace=True)
+        assert run_many(SQUARE, (1.0, 1.0), [0.05], master_seed=41).trace is None
