@@ -43,7 +43,7 @@ class RunConfig:
     method: str = "meas"
     eps_target: float = 1e-3
     eta: float = 16.0
-    warmup: int = 100
+    warmup: int = estimator.DEFAULT_WARMUP
     m: Optional[int] = None
     seed: int = 0
     threads: Optional[int] = None
@@ -74,6 +74,14 @@ class RunConfig:
             raise ValueError("--m must be at least 2")
         if self.format not in ("csv", "json"):
             raise ValueError("--format must be csv or json")
+        if self.command == "solve":
+            # Options the method ignores would still be echoed in the
+            # artifact as if they had shaped the estimate.
+            method = self.method.upper()
+            if self.m is not None and method != "WOS":
+                raise ValueError(f"--m sets the WOS sample count; {method} does not use it")
+            if self.warmup != estimator.DEFAULT_WARMUP and method != "MEAS":
+                raise ValueError(f"--warmup sets the MEAS warm-up; {method} does not use it")
 
 
 _DEFAULTS = {

@@ -62,17 +62,26 @@ DEFAULT_MAX_STEPS = 10_000_000
 # 3-D MEAS benchmark workload).
 _WIDTH = 16384
 
-# Philox4x64-10 round multipliers and Weyl key increments, one row per word
-# pair: a round multiplies counter words 0 and 2 as one (2, ...) array,
-# which halves the number of numpy calls per block.
+# Philox4x64-10 round multipliers of counter words 0 and 2, one row each, as
+# full 64-bit values and as 32-bit halves (the 128-bit products are built
+# from those), and the Weyl increments of key words 0 and 1.
 _MUL = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_WEYL = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
-_MASK32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
+_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# Shift and mask operands are 0-d arrays: a numpy scalar operand costs a
+# ufunc call about half a microsecond more.
+_MASK32 = np.array(0xFFFFFFFF, dtype=np.uint64)
+_S32 = np.array(32, dtype=np.uint64)
 _MUL_HI = _MUL >> _S32
 _MUL_LO = _MUL & _MASK32
-_S11 = np.uint64(11)
-_U64ONE = np.uint64(1)
+_S11 = np.array(11, dtype=np.uint64)
+_U64ONE = np.array(1, dtype=np.uint64)
+_U64MAX = 2 ** 64 - 1
+# Calls of at most this many blocks multiply by rows of their own shape;
+# larger ones by the (2, 1) columns above. A broadcast column costs a
+# multiply about twice the time of a same-shape operand on a few hundred
+# elements, and the same from ~16384 on, where full rows would add three
+# (2, blocks) arrays to the call's peak memory.
+_FULL_ROWS_MAX = 4096
 
 _INV53 = float(2.0 ** -53)
 _TWOPI = 2.0 * math.pi
@@ -84,53 +93,65 @@ def _u64(value: int) -> np.uint64:
     return np.array(value, dtype=np.uint64)[()]
 
 
-def _philox_round(a, b, key, mul, mul_hi, mul_lo):
-    """One Philox4x64 round on rows a = (c0, c2) and b = (c1, c3).
-
-    Rows of ``a`` are multiplied by the rows of ``mul``; the 128-bit
-    products are built from 32-bit halves. Overwrites ``a``, which keeps
-    the number of live (2, ...) temporaries at six.
-    """
-    lo = mul * a
-    hi = a >> _S32
-    a &= _MASK32  # a: low halves
-    t = mul_lo * a
-    t >>= _S32
-    a *= mul_hi
-    t += a
-    w = mul_lo * hi
-    np.bitwise_and(t, _MASK32, out=a)
-    w += a
-    hi *= mul_hi
-    t >>= _S32
-    hi += t
-    w >>= _S32
-    hi += w
-    # c0 <- hi(c2) ^ c1 ^ k0, c1 <- lo(c2), c2 <- hi(c0) ^ c3 ^ k1, c3 <- lo(c0)
-    hi = hi[::-1]
-    hi ^= b
-    hi ^= key
-    return hi, lo[::-1]
-
-
 def philox4x64(c0, c1, c2, c3, k0, k1):
     """One Philox4x64-10 block: four uint64 words per counter.
 
     Arguments broadcast; uint64 wraparound is the intended arithmetic.
+
+    The state is two flat (2, n) arrays, ``a`` = (c0, c2), the words a
+    round multiplies, and ``b`` = (c1, c3). A round computes the 128-bit
+    products of ``a``'s rows with the multipliers into ``hi`` and ``lo``,
+    then c0 <- hi(c2) ^ c1 ^ k0, c1 <- lo(c2), c2 <- hi(c0) ^ c3 ^ k1,
+    c3 <- lo(c0). The new ``a`` is written row by row, and the new ``b`` is
+    ``lo`` with its rows swapped, read only row by row, so no operand has
+    a negative stride. ``lo`` and ``b`` trade buffers each round: every
+    buffer is made once per call, and every operation writes with ``out=``.
+    The ten round keys are computed up front from Python ints.
     """
     shape = np.broadcast_shapes(np.shape(c0), np.shape(c1), np.shape(c2), np.shape(c3))
-    col = (2,) + (1,) * len(shape)
-    mul, mul_hi, mul_lo = _MUL.reshape(col), _MUL_HI.reshape(col), _MUL_LO.reshape(col)
-    weyl = _WEYL.reshape(col)
-    key = np.array([k0, k1], dtype=np.uint64).reshape(col)
     a = np.empty((2,) + shape, dtype=np.uint64)
-    b = np.empty_like(a)
-    a[0], a[1], b[0], b[1] = c0, c2, c1, c3
+    lo = np.empty_like(a)
+    # ``lo`` holds b = (c1, c3) rows swapped, as every later round leaves it.
+    a[0], a[1], lo[0], lo[1] = c0, c2, c3, c1
+    a, lo = a.reshape(2, -1), lo.reshape(2, -1)
+    n = a.shape[1]
+    if n <= _FULL_ROWS_MAX:
+        mul, mul_hi, mul_lo = (np.repeat(m, n, axis=1) for m in (_MUL, _MUL_HI, _MUL_LO))
+    else:
+        mul, mul_hi, mul_lo = _MUL, _MUL_HI, _MUL_LO
+    k0, k1 = int(k0), int(k1)
+    keys = np.array(
+        [((k0 + r * _WEYL[0]) & _U64MAX, (k1 + r * _WEYL[1]) & _U64MAX) for r in range(10)],
+        dtype=np.uint64,
+    )
+    spare, hi, t, w = (np.empty_like(a) for _ in range(4))
+    a0, a1 = a
+    hi0, hi1 = hi
     for rnd in range(10):
-        if rnd > 0:
-            key = key + weyl
-        a, b = _philox_round(a, b, key, mul, mul_hi, mul_lo)
-    return a[0], b[0], a[1], b[1]
+        b1, b0 = lo
+        lo, spare = spare, lo
+        # (hi, lo) = a * mul; a's 32-bit halves times mul's, summed with
+        # carries into t and w. Overwrites a.
+        np.multiply(mul, a, out=lo)
+        np.right_shift(a, _S32, out=hi)
+        np.bitwise_and(a, _MASK32, out=a)
+        np.multiply(mul_lo, a, out=t)
+        np.right_shift(t, _S32, out=t)
+        np.multiply(a, mul_hi, out=a)
+        np.add(t, a, out=t)
+        np.multiply(mul_lo, hi, out=w)
+        np.bitwise_and(t, _MASK32, out=a)
+        np.add(w, a, out=w)
+        np.multiply(hi, mul_hi, out=hi)
+        np.right_shift(t, _S32, out=t)
+        np.add(hi, t, out=hi)
+        np.right_shift(w, _S32, out=w)
+        np.add(hi, w, out=hi)
+        np.bitwise_xor(hi1, b0, out=a0)
+        np.bitwise_xor(hi0, b1, out=a1)
+        np.bitwise_xor(a0, keys[rnd, 0, ...], out=a0)
+        np.bitwise_xor(a1, keys[rnd, 1, ...], out=a1)
+    return a0.reshape(shape), lo[1].reshape(shape), a1.reshape(shape), lo[0].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -231,7 +252,7 @@ def _directions(dim, lanes):
     # A zero gaussian vector has probability ~2^-53 per draw; fall back to
     # the first axis deterministically rather than divide by zero.
     degenerate = norm == 0.0
-    if np.any(degenerate):
+    if degenerate.any():
         g[:, degenerate] = 0.0
         g[0, degenerate] = 1.0
         norm[degenerate] = 1.0
@@ -357,12 +378,13 @@ def _walk_chunk(domain, x0, thr, key, count, max_steps, stops, steps, trace=Fals
             g *= dist
             pos += g
             now += 1
-            dist = np.maximum(domain._dist(pos.T), 0.0)
+            dist = domain._dist(pos.T)
+            np.maximum(dist, 0.0, out=dist)
             if trace:
                 history.append(pos[:, 0].copy())
             # One jump can cross several widths at once; record them all at
             # the same position, which realizes the first-crossing rule.
-            hit = np.flatnonzero(dist < thr_next[ptr])
+            hit = (dist < thr_next[ptr]).nonzero()[0]
             if not hit.size:
                 continue
             while hit.size:
@@ -371,7 +393,7 @@ def _walk_chunk(domain, x0, thr, key, count, max_steps, stops, steps, trace=Fals
                 steps[k, col] = now - entry[hit]
                 ptr[hit] = k + 1
                 hit = hit[dist[hit] < thr_next[k + 1]]
-            keep = np.flatnonzero(ptr < nthr)
+            keep = (ptr < nthr).nonzero()[0]
             if keep.size == idx.size:
                 continue
             idx, dist, entry, ptr = idx[keep], dist[keep], entry[keep], ptr[keep]

@@ -68,6 +68,21 @@ class TestParseArgs:
         broken.write_text("{not json")
         assert main(["solve", "--config", str(broken)]) == 1
 
+    @pytest.mark.parametrize(
+        "method, flag, value",
+        [("meas", "--m", "5000"), ("mlwos", "--m", "5000"),
+         ("wos", "--warmup", "7"), ("mlwos", "--warmup", "7")],
+    )
+    def test_option_the_method_ignores_is_usage_error(self, method, flag, value, capsys):
+        assert main(["solve", "--method", method, flag, value]) == 1
+        err = capsys.readouterr().err
+        assert flag in err and method.upper() in err
+
+    def test_options_the_method_uses_accepted(self):
+        assert parse_args(["solve", "--method", "wos", "--m", "50"]).m == 50
+        assert parse_args(["solve", "--method", "MEAS", "--warmup", "7"]).warmup == 7
+        assert parse_args(["study-workerr", "--warmup", "7"]).warmup == 7
+
     def test_study_defaults(self):
         cfg = parse_args(["study-variance"])
         assert cfg.eta == 2.0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -94,6 +95,55 @@ class TestPhiloxKernel:
         for i in range(10):
             one = philox4x64(_u64(i), _u64(3), _u64(0), _u64(0), _u64(9), _u64(11))
             assert all(int(v[i]) == int(o) for v, o in zip(vec, one))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        layout=st.sampled_from(["one", "rows", "columns", "grid", "broadcast"]),
+        key=st.tuples(SEEDS, SEEDS),
+        seed=SEEDS,
+    )
+    def test_matches_numpy_block_by_block(self, layout, key, seed):
+        """Random keys and counters with all four words nonzero, on both
+        sides of the switch from same-shape multiplier rows to columns."""
+        rng = np.random.default_rng(seed)
+
+        def words(shape):
+            return rng.integers(1, 2 ** 64, size=shape, dtype=np.uint64, endpoint=False)
+
+        n = walk._FULL_ROWS_MAX
+        shapes = {
+            "one": [(1,)] * 4,
+            "rows": [(n,)] * 4,
+            "columns": [(n + 1,)] * 4,
+            "grid": [(3, 1), (5,), (5,), (5,)],  # (blocks, rows), as the engine draws
+            "broadcast": [(7,), (7,), (), ()],  # scalar c2, c3
+        }[layout]
+        ctr = [words(shape) for shape in shapes]
+        out = philox4x64(*ctr, _u64(key[0]), _u64(key[1]))
+        full = np.broadcast_arrays(*ctr)
+        assert all(o.shape == full[0].shape for o in out)
+        for i in np.ndindex(full[0].shape):
+            # numpy's Philox increments its counter before each block, and
+            # c0 >= 1 keeps the decrement here from borrowing from c1.
+            c0, c1, c2, c3 = (int(c[i]) for c in full)
+            ref = np.random.Philox(counter=_u64([c0 - 1, c1, c2, c3]), key=_u64(key))
+            assert [int(o[i]) for o in out] == [int(v) for v in ref.random_raw(4)]
+
+    def test_traced_peak_at_full_width(self):
+        """One draw of a block for 16384 rows, the engine's full width,
+        holds the (2, rows) state and four round buffers at most: the same
+        traced peak as before the buffers were made once per call. It fails
+        if full-width multiplier rows or more round buffers are added."""
+        k0, k1 = walk._key_words(3, 5, 1)
+        words = np.arange(16384, dtype=np.uint64)
+        first = np.zeros(16384, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            walk._raw_lanes(k0, k1, words, first, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1700 * 1024
 
 
 class TestStreams:
