@@ -24,10 +24,8 @@ from .walk import (
     run_many,
 )
 from .estimator import (
-    AllocationModel,
     EstimateReport,
     Ladder,
-    LevelPlan,
     LevelStats,
     adaptive_mlmc,
     allocation_targets,

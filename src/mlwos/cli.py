@@ -8,10 +8,12 @@ study-pdiv     divergence-probability measurement
 study-workerr  error-versus-work comparison across methods
 trace          one walk's full path as CSV
 
-Flags override config-file values, which override defaults. All outputs are
-deterministic for a fixed config and seed, byte-identical for any thread
-count; measured wall time therefore appears only on the console, never in
-artifacts. Exit status: 0 success, 1 usage error, 2 runtime error.
+Each command accepts only the flags it reads (``solve`` those of its
+method); any other is a usage error. Flags override config-file values,
+which override defaults. All outputs are deterministic for a fixed config
+and seed, byte-identical for any thread count; measured wall time
+therefore appears only on the console, never in artifacts. Exit status:
+0 success, 1 usage error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -33,6 +35,21 @@ _COMMANDS = ("solve", "study-variance", "study-pdiv", "study-workerr", "trace")
 _EPS_SWEEP = "0.1,0.03,0.01,0.003"
 _PDIV_SWEEP = "0.05,0.025,0.0125,0.00625"
 
+# The RunConfig fields each command reads; ``solve`` also reads those of
+# its method. A field set by flag or config file that the command does not
+# read is a usage error, since the artifact's config echo would record a
+# value that shaped nothing. The execution-only ``threads`` and ``output``
+# are always accepted.
+_READS = {
+    "solve": {"problem", "method", "eps_target", "seed", "format"},
+    "study-variance": {"problem", "eps_target", "eta", "levels", "m", "seed", "reps", "format"},
+    "study-pdiv": {"problem", "eps_list", "radius", "m", "seed", "format"},
+    "study-workerr": {"problem", "method", "eps_list", "eta", "reps", "seed", "warmup", "format"},
+    "trace": {"problem", "eps_target", "seed"},
+}
+_SOLVE_READS = {"WOS": {"m"}, "MEAS": {"eta", "warmup"}, "MLWOS": {"eta"}}
+_FLAGS = {"eps_target": "--eps", "eps_list": "--eps-list"}
+
 
 @dataclass
 class RunConfig:
@@ -53,19 +70,28 @@ class RunConfig:
     eps_list: str = ""
     levels: int = 6
     radius: float = 0.2
-    trace_path: Optional[str] = None
 
-    def validate(self):
+    def validate(self, given=()):
+        """Check the values; ``given`` names the fields set by flag or
+        config file, each of which the command must read."""
         if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
+        reads = _READS[self.command] | {"threads", "output"}
+        where = self.command
+        if self.command == "solve":
+            method = self.method.upper()
+            if method not in _SOLVE_READS:
+                raise ValueError(f"unknown method {self.method!r}; choose from {estimator.METHODS}")
+            reads = reads | _SOLVE_READS[method]
+            where = f"solve with method {method}"
+        unread = sorted(_FLAGS.get(name, "--" + name) for name in set(given) - reads)
+        if unread:
+            raise ValueError(f"{where} does not read {', '.join(unread)}")
         if self.eps_target <= 0.0:
             raise ValueError("--eps must be positive")
         if self.eta <= 1.0:
             raise ValueError("--eta must exceed 1")
-        if self.threads is not None and self.threads < 1:
-            raise ValueError("--threads must be at least 1")
-        if self.threads is None:
-            estimator.resolve_threads(None)  # rejects a malformed MLWOS_THREADS
+        walk.resolve_threads(self.threads)  # rejects a bad --threads or MLWOS_THREADS
         if self.reps < 1:
             raise ValueError("--reps must be at least 1")
         if self.warmup < 2:
@@ -74,14 +100,6 @@ class RunConfig:
             raise ValueError("--m must be at least 2")
         if self.format not in ("csv", "json"):
             raise ValueError("--format must be csv or json")
-        if self.command == "solve":
-            # Options the method ignores would still be echoed in the
-            # artifact as if they had shaped the estimate.
-            method = self.method.upper()
-            if self.m is not None and method != "WOS":
-                raise ValueError(f"--m sets the WOS sample count; {method} does not use it")
-            if self.warmup != estimator.DEFAULT_WARMUP and method != "MEAS":
-                raise ValueError(f"--warmup sets the MEAS warm-up; {method} does not use it")
 
 
 _DEFAULTS = {
@@ -108,7 +126,7 @@ _DEFAULTS = {
         "method": "wos,mlwos,meas",
         "reps": 20,
     },
-    "trace": {"format": "csv", "output": "trace.csv", "eps_target": 1e-2},
+    "trace": {"output": "trace.csv", "eps_target": 1e-2},
 }
 
 
@@ -140,7 +158,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--output", default=None, help="artifact path")
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--config", default=None, help="JSON file with RunConfig fields")
-        p.add_argument("--trace-path", dest="trace_path", default=None)
         p.add_argument("--eps-list", dest="eps_list", default=None,
                        help="comma-separated widths for sweeps")
         p.add_argument("--levels", type=int, default=None, help="levels for study-variance")
@@ -156,6 +173,7 @@ def parse_args(argv) -> RunConfig:
 
     resolved = {}
     resolved.update(_DEFAULTS.get(command, {}))
+    given = set()
     if ns.config is not None:
         try:
             with open(ns.config) as fh:
@@ -165,15 +183,17 @@ def parse_args(argv) -> RunConfig:
         unknown = set(file_cfg) - fields - {"command"}
         if unknown:
             raise _usage_exit(f"unknown config fields {sorted(unknown)}")
-        resolved.update({k: v for k, v in file_cfg.items() if k != "command"})
+        given = set(file_cfg) - {"command"}
+        resolved.update({k: file_cfg[k] for k in given})
     for name in fields:
         value = getattr(ns, name, None)
         if value is not None:
             resolved[name] = value
+            given.add(name)
 
     config = RunConfig(command=command, **{k: v for k, v in resolved.items() if k in fields})
     try:
-        config.validate()
+        config.validate(given)
     except ValueError as exc:
         raise _usage_exit(str(exc))
     return config
@@ -207,7 +227,7 @@ def _config_echo(config: RunConfig) -> dict:
     # Audit trail of everything statistical; execution-only knobs (threads,
     # output path) are omitted so artifacts stay identical across them.
     echo = dataclasses.asdict(config)
-    for key in ("threads", "output", "trace_path"):
+    for key in ("threads", "output"):
         echo.pop(key, None)
     return echo
 
@@ -316,9 +336,8 @@ def _run_trace(config: RunConfig) -> str:
         problem.domain, problem.start, [config.eps_target], master_seed=config.seed, trace=True
     )
     value = float(problem.bc(batch.exits[0, 0]))
-    path = config.trace_path or config.output
-    _write(path, walk.trace_csv(problem.domain, batch.trace))
-    return f"trace: {batch.steps[0, 0]} steps, exit value {value:.6f}, written to {path}"
+    _write(config.output, walk.trace_csv(problem.domain, batch.trace))
+    return f"trace: {batch.steps[0, 0]} steps, exit value {value:.6f}, written to {config.output}"
 
 
 _RUNNERS = {

@@ -16,7 +16,6 @@ of (problem, parameters, seed) regardless of thread count.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -25,12 +24,11 @@ import numpy as np
 
 from . import walk
 from .geometry import Problem
+from .walk import resolve_threads  # noqa: F401  (bench/run.py reads it from here)
 
 __all__ = [
     "Ladder",
-    "LevelPlan",
     "LevelStats",
-    "AllocationModel",
     "EstimateReport",
     "build_ladder",
     "default_ladder",
@@ -59,7 +57,7 @@ _SUB_MAIN = 0
 _SUB_PILOT = 1
 
 # MLWOS allocation: the theory decay exponent for Lipschitz boundary data,
-# and polylog work growth per level.
+# and polylog work growth per level, w_l ~ max(1, l)^p.
 _ANALYTIC_S = 1.0 / 3.0
 _ANALYTIC_P = 2
 
@@ -72,28 +70,6 @@ def stream_context(base: int, sub: int = _SUB_MAIN) -> int:
     return (base << 4) | sub
 
 
-def resolve_threads(threads: Optional[int]) -> int:
-    """Explicit value, else MLWOS_THREADS, else the machine core count.
-
-    Raises ValueError for a count below 1 and for an MLWOS_THREADS that is
-    not an integer.
-    """
-    if threads is not None:
-        if threads < 1:
-            raise ValueError("threads must be at least 1")
-        return int(threads)
-    env = os.environ.get("MLWOS_THREADS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"MLWOS_THREADS must be an integer, got {env!r}") from None
-        if value < 1:
-            raise ValueError(f"MLWOS_THREADS must be at least 1, got {value}")
-        return value
-    return os.cpu_count() or 1
-
-
 @dataclass(frozen=True)
 class Ladder:
     """Geometric sequence of stopping widths eps_l = eps0 / eta^l, l=0..levels.
@@ -103,25 +79,26 @@ class Ladder:
     only for hand-built degenerate ladders used in tests.
     """
 
-    eps0: float
     eta: float
-    levels: int
     eps: tuple
 
     def __post_init__(self):
         if self.eta <= 1.0:
             raise ValueError("eta must exceed 1")
-        if self.levels != len(self.eps) - 1:
-            raise ValueError("levels inconsistent with width list")
+        if not self.eps:
+            raise ValueError("need at least one width")
         if any(e <= 0.0 for e in self.eps):
             raise ValueError("widths must be positive")
         if any(b > a for a, b in zip(self.eps, self.eps[1:])):
             raise ValueError("widths must be nonincreasing")
 
-    def widths(self, level: int) -> tuple:
-        """Stopping widths of a level's samples for :func:`sample_level`:
-        ``(eps0,)`` on level 0, ``(eps[level - 1], eps[level])`` above."""
-        return self.eps[max(level - 1, 0):level + 1]
+    @property
+    def eps0(self) -> float:
+        return self.eps[0]
+
+    @property
+    def levels(self) -> int:
+        return len(self.eps) - 1
 
 
 def _anchored_ladder(eps_target: float, eta: float, levels: int) -> Ladder:
@@ -130,7 +107,7 @@ def _anchored_ladder(eps_target: float, eta: float, levels: int) -> Ladder:
     for _ in range(levels):
         eps.append(eps[-1] * eta)
     eps.reverse()
-    return Ladder(eps0=eps[0], eta=eta, levels=levels, eps=tuple(eps))
+    return Ladder(eta=eta, eps=tuple(eps))
 
 
 def build_ladder(eps_target: float, eta: float, eps0_hint: float) -> Ladder:
@@ -168,20 +145,6 @@ def default_ladder(problem: Problem, eps_target: float, eta: float) -> Ladder:
     return _anchored_ladder(eps_target, eta, levels)
 
 
-@dataclass(frozen=True)
-class LevelPlan:
-    """A ladder plus the number of samples to draw on each level."""
-
-    ladder: Ladder
-    m: tuple
-
-    def __post_init__(self):
-        if len(self.m) != self.ladder.levels + 1:
-            raise ValueError("need one sample count per level")
-        if any(int(v) < 1 for v in self.m):
-            raise ValueError("sample counts must be at least 1")
-
-
 @dataclass
 class LevelStats:
     """Running moments for one level: sample count, mean, sum of squared
@@ -198,18 +161,6 @@ class LevelStats:
         if self.count < 2:
             return 0.0
         return self.m2 / (self.count - 1)
-
-
-def _stats_from(level: int, values: np.ndarray, steps: np.ndarray) -> LevelStats:
-    mean = float(np.mean(values))
-    m2 = float(np.sum((values - mean) ** 2))
-    return LevelStats(
-        level=level,
-        count=int(values.size),
-        mean=mean,
-        m2=m2,
-        mean_steps=float(np.mean(steps)),
-    )
 
 
 def auto_sample_count(pilot_variance: float, eps: float) -> int:
@@ -249,52 +200,16 @@ def optimal_allocation(variances, works, eps_target: float) -> list:
     return [max(2, math.ceil(t)) for t in targets]
 
 
-@dataclass(frozen=True)
-class AllocationModel:
-    """Modeled decay rates for variance and work across levels.
-
-    ``s`` is the level-difference decay exponent (second-moment norm of the
-    level difference scales like eps_l^s). Work per sample grows either like
-    eps_l^-gamma (``power``) or like l^p (``polylog``); the power mode is
-    only admissible when 2s > gamma, otherwise the level sum diverges.
-    ``v0``/``w0`` anchor the model with pilot measurements at level 0.
-    """
-
-    s: float
-    v0: float
-    w0: float
-    work_mode: str = "polylog"
-    gamma: Optional[float] = None
-    p: Optional[int] = None
-
-    def __post_init__(self):
-        if self.s <= 0.0:
-            raise ValueError("s must be positive")
-        if self.v0 < 0.0 or self.w0 <= 0.0:
-            raise ValueError("pilot variance must be nonnegative and pilot work positive")
-        if self.work_mode == "power":
-            if self.gamma is None or self.gamma <= 0.0:
-                raise ValueError("power mode needs gamma > 0")
-        elif self.work_mode == "polylog":
-            if self.p not in (1, 2):
-                raise ValueError("polylog mode needs p in {1, 2}")
-        else:
-            raise ValueError("work_mode must be 'power' or 'polylog'")
-
-
-def model_allocation(model: AllocationModel, ladder: Ladder) -> list:
+def model_allocation(v0: float, w0: float, ladder: Ladder) -> list:
     """Sample counts from modeled scaling: V_l = v0 (eps_l/eps0)^(2s) and
-    w_l = w0 eta^(gamma l) or w0 max(1, l)^p, fed through the optimal
-    allocation at the finest width."""
-    if model.work_mode == "power" and 2.0 * model.s <= model.gamma:
-        raise ValueError("power-mode allocation requires 2s > gamma")
-    ells = np.arange(ladder.levels + 1)
+    w_l = w0 max(1, l)^p with s = 1/3 and p = 2, fed through the optimal
+    allocation at the finest width. ``v0``/``w0`` are the variance and
+    mean steps measured by a pilot at level 0."""
+    if v0 < 0.0 or w0 <= 0.0:
+        raise ValueError("pilot variance must be nonnegative and pilot work positive")
     eps = np.asarray(ladder.eps)
-    v = model.v0 * (eps / ladder.eps0) ** (2.0 * model.s)
-    if model.work_mode == "power":
-        w = model.w0 * ladder.eta ** (model.gamma * ells)
-    else:
-        w = model.w0 * np.maximum(1, ells) ** float(model.p)
+    v = v0 * (eps / ladder.eps0) ** (2.0 * _ANALYTIC_S)
+    w = w0 * np.maximum(1, np.arange(ladder.levels + 1)) ** float(_ANALYTIC_P)
     return optimal_allocation(v, w, ladder.eps[-1])
 
 
@@ -352,7 +267,7 @@ def sample_level(
     level: int = 0,
     start_index: int = 0,
     max_steps: int,
-    threads: int,
+    threads: Optional[int],
 ):
     """Samples ``start_index`` to ``start_index + count - 1`` of one level,
     drawn from the streams (``seed``, ``context``, ``level``).
@@ -383,21 +298,59 @@ def sample_level(
     return values, batch.steps[-1]
 
 
-def _report(eps, eta, levels, seed, t0) -> EstimateReport:
-    # ``levels`` holds one (values, steps) pair of arrays per width in ``eps``.
-    stats = [_stats_from(level, v, s) for level, (v, s) in enumerate(levels)]
-    return EstimateReport(
-        value=float(sum(st.mean for st in stats)),
-        eps_target=float(eps[-1]),
-        eta=eta,
-        eps=tuple(eps),
-        m=tuple(st.count for st in stats),
-        level_stats=stats,
-        total_steps=int(sum(int(s.sum()) for _, s in levels)),
-        stat_error=math.sqrt(sum(st.variance / st.count for st in stats)),
-        seed=seed,
-        wall_time=time.perf_counter() - t0,
-    )
+class _Levels:
+    """Every level's samples drawn so far, for the widths ``eps``.
+
+    ``values[l]`` and ``steps[l]`` hold samples 0 to n - 1 of level ``l``
+    from the streams (``seed``, ``context``, ``l``): plain boundary values
+    at ``eps[0]`` on level 0, coupled corrections between ``eps[l - 1]``
+    and ``eps[l]`` above. Samples are only ever appended, so a level topped
+    up in several steps holds the same samples as one drawn at once.
+    """
+
+    def __init__(self, problem, eps, seed, context, max_steps, threads):
+        self.problem = problem
+        self.eps = tuple(eps)
+        self.stream = dict(seed=seed, context=context, max_steps=max_steps, threads=threads)
+        self.values = [np.empty(0)] * len(self.eps)
+        self.steps = [np.empty(0, dtype=np.int64)] * len(self.eps)
+
+    def top_up(self, level: int, need: int):
+        """Draw level ``level``'s next samples, up to sample ``need - 1``."""
+        have = self.values[level].size
+        if need > have:
+            v, s = sample_level(
+                self.problem, self.eps[max(level - 1, 0):level + 1], need - have,
+                level=level, start_index=have, **self.stream,
+            )
+            self.values[level] = np.concatenate([self.values[level], v])
+            self.steps[level] = np.concatenate([self.steps[level], s])
+
+    def allocation(self) -> list:
+        """Optimal counts at the finest width from each level's measured
+        variance and mean steps."""
+        v = [float(np.var(x, ddof=1)) for x in self.values]
+        w = [float(np.mean(s)) for s in self.steps]
+        return optimal_allocation(v, w, self.eps[-1])
+
+    def report(self, eta: Optional[float], t0: float) -> EstimateReport:
+        stats = []
+        for level, (v, s) in enumerate(zip(self.values, self.steps)):
+            mean = float(np.mean(v))
+            m2 = float(np.sum((v - mean) ** 2))
+            stats.append(LevelStats(level, int(v.size), mean, m2, float(np.mean(s))))
+        return EstimateReport(
+            value=float(sum(st.mean for st in stats)),
+            eps_target=float(self.eps[-1]),
+            eta=eta,
+            eps=self.eps,
+            m=tuple(st.count for st in stats),
+            level_stats=stats,
+            total_steps=int(sum(int(s.sum()) for s in self.steps)),
+            stat_error=math.sqrt(sum(st.variance / st.count for st in stats)),
+            seed=self.stream["seed"],
+            wall_time=time.perf_counter() - t0,
+        )
 
 
 def mc_estimate(
@@ -416,48 +369,36 @@ def mc_estimate(
     the final estimate matches an explicit call with the resulting count.
     """
     t0 = time.perf_counter()
-    stream_args = dict(
-        seed=seed,
-        context=stream_context(context),
-        max_steps=max_steps,
-        threads=resolve_threads(threads),
-    )
     if m is not None and m < 2:
         raise ValueError("m must be at least 2")
-    values, steps = sample_level(problem, (eps,), m or _PILOT_SAMPLES, **stream_args)
+    levels = _Levels(problem, (eps,), seed, stream_context(context), max_steps, threads)
+    levels.top_up(0, m or _PILOT_SAMPLES)
     if m is None:
-        target = auto_sample_count(float(np.var(values, ddof=1)), eps)
-        if target > _PILOT_SAMPLES:
-            more_v, more_s = sample_level(
-                problem, (eps,), target - _PILOT_SAMPLES, start_index=_PILOT_SAMPLES, **stream_args
-            )
-            values = np.concatenate([values, more_v])
-            steps = np.concatenate([steps, more_s])
-    return _report((eps,), None, [(values, steps)], seed, t0)
+        levels.top_up(0, auto_sample_count(float(np.var(levels.values[0], ddof=1)), eps))
+    return levels.report(None, t0)
 
 
 def mlmc_estimate(
     problem: Problem,
-    plan: LevelPlan,
+    ladder: Ladder,
+    m,
     seed: int = 0,
     threads: Optional[int] = None,
     context: int = 0,
     max_steps: int = walk.DEFAULT_MAX_STEPS,
 ) -> EstimateReport:
-    """Multilevel estimate for a fixed plan: plain walks on level 0 plus
-    independent coupled-pair corrections on each finer level."""
+    """Multilevel estimate with ``m[l]`` samples on level ``l`` of
+    ``ladder``: plain walks on level 0 plus independent coupled-pair
+    corrections on each finer level."""
     t0 = time.perf_counter()
-    threads = resolve_threads(threads)
-    ladder = plan.ladder
-    ctx = stream_context(context)
-    levels = [
-        sample_level(
-            problem, ladder.widths(level), int(count), seed=seed, context=ctx, level=level,
-            max_steps=max_steps, threads=threads,
-        )
-        for level, count in enumerate(plan.m)
-    ]
-    return _report(ladder.eps, ladder.eta, levels, seed, t0)
+    if len(m) != ladder.levels + 1:
+        raise ValueError("need one sample count per level")
+    if any(int(v) < 1 for v in m):
+        raise ValueError("sample counts must be at least 1")
+    levels = _Levels(problem, ladder.eps, seed, stream_context(context), max_steps, threads)
+    for level, count in enumerate(m):
+        levels.top_up(level, int(count))
+    return levels.report(ladder.eta, t0)
 
 
 def adaptive_mlmc(
@@ -481,39 +422,19 @@ def adaptive_mlmc(
     t0 = time.perf_counter()
     if warmup < 2:
         raise ValueError("warmup must be at least 2")
-    threads = resolve_threads(threads)
     ladder = default_ladder(problem, eps_target, eta)
-    ctx = stream_context(context)
+    levels = _Levels(problem, ladder.eps, seed, stream_context(context), max_steps, threads)
     nlev = ladder.levels + 1
-    values = [np.empty(0)] * nlev
-    steps = [np.empty(0, dtype=np.int64)] * nlev
-
-    def top_up(level, need):
-        have = values[level].size
-        if need > have:
-            v, s = sample_level(
-                problem, ladder.widths(level), need - have, seed=seed, context=ctx,
-                level=level, start_index=have, max_steps=max_steps, threads=threads,
-            )
-            values[level] = np.concatenate([values[level], v])
-            steps[level] = np.concatenate([steps[level], s])
-
-    def allocation():
-        v = [float(np.var(x, ddof=1)) for x in values]
-        w = [float(np.mean(s)) for s in steps]
-        return optimal_allocation(v, w, ladder.eps[-1])
-
     for level in range(nlev):
-        top_up(level, warmup)
-    first = allocation()
+        levels.top_up(level, warmup)
+    first = levels.allocation()
     for level in range(nlev):
-        top_up(level, max(first[level], warmup))
-    second = allocation()
+        levels.top_up(level, max(first[level], warmup))
+    second = levels.allocation()
     for level in range(nlev):
         if second[level] > 1.1 * first[level]:
-            top_up(level, second[level])
-
-    return _report(ladder.eps, eta, list(zip(values, steps)), seed, t0)
+            levels.top_up(level, second[level])
+    return levels.report(eta, t0)
 
 
 def solve(
@@ -534,8 +455,7 @@ def solve(
     :func:`adaptive_mlmc` with ``warmup`` samples per level. MLWOS is
     :func:`mlmc_estimate` with counts from :func:`model_allocation`: a
     100-sample pilot at the coarsest width, on its own substream, anchors
-    a polylog model with s = 1/3 and p = 2, and its steps count in the
-    report's work.
+    the model, and its steps count in the report's work.
     """
     name = method.upper()
     if name == "WOS":
@@ -546,20 +466,14 @@ def solve(
         )
     if name != "MLWOS":
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    threads = resolve_threads(threads)
     ladder = default_ladder(problem, eps_target, eta)
-    pilot_v, pilot_s = sample_level(
-        problem, ladder.widths(0), _PILOT_SAMPLES, seed=seed,
-        context=stream_context(context, _SUB_PILOT), max_steps=walk.DEFAULT_MAX_STEPS,
-        threads=threads,
+    pilot = _Levels(
+        problem, ladder.eps[:1], seed, stream_context(context, _SUB_PILOT),
+        walk.DEFAULT_MAX_STEPS, threads,
     )
-    model = AllocationModel(
-        s=_ANALYTIC_S,
-        v0=float(np.var(pilot_v, ddof=1)),
-        w0=float(np.mean(pilot_s)),
-        p=_ANALYTIC_P,
-    )
-    plan = LevelPlan(ladder, tuple(model_allocation(model, ladder)))
-    report = mlmc_estimate(problem, plan, seed=seed, threads=threads, context=context)
+    pilot.top_up(0, _PILOT_SAMPLES)
+    (pilot_v,), (pilot_s,) = pilot.values, pilot.steps
+    m = model_allocation(float(np.var(pilot_v, ddof=1)), float(np.mean(pilot_s)), ladder)
+    report = mlmc_estimate(problem, ladder, m, seed=seed, threads=threads, context=context)
     report.total_steps += int(np.sum(pilot_s))
     return report

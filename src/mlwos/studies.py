@@ -168,7 +168,6 @@ def variance_study(
         raise ValueError("need at least one level")
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    threads = estimator.resolve_threads(threads)
     eps = [eps0 / eta ** l for l in range(num_levels + 1)]
     if eps[0] >= problem.domain.distance_to_boundary(problem.start):
         raise ValueError("eps0 must be below the start's boundary distance")
@@ -254,7 +253,6 @@ def pdiv_study(
         raise ValueError("all widths must be below the radius")
     if m < 1:
         raise ValueError("m must be positive")
-    threads = estimator.resolve_threads(threads)
     eps_max = max(eps_list)
     alpha = problem.bc.holder_alpha
 

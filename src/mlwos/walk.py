@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -39,6 +40,7 @@ __all__ = [
     "BatchResult",
     "StepLimitExceeded",
     "run_many",
+    "resolve_threads",
     "trace_csv",
     "DEFAULT_MAX_STEPS",
 ]
@@ -290,7 +292,6 @@ class BatchResult:
     A traced walk's positions, the start and every step, are ``trace``.
     """
 
-    thresholds: tuple
     stops: np.ndarray
     exits: np.ndarray
     steps: np.ndarray
@@ -413,7 +414,7 @@ def run_many(
     start_index: int = 0,
     count: int = 1,
     max_steps: int = DEFAULT_MAX_STEPS,
-    threads: int = 1,
+    threads: Optional[int] = None,
     trace: bool = False,
 ) -> BatchResult:
     """Run ``count`` independent walks, each recorded at every threshold.
@@ -421,9 +422,10 @@ def run_many(
     Sample ``i`` draws from the stream keyed by
     ``StreamKey(master_seed, context, level, start_index + i)``; results are
     written to slots in sample-index order, so the output is bitwise
-    reproducible for any ``threads``. With ``threads > 1`` the samples are
-    split into contiguous ranges, one wavefront each, but only into as many
-    as hold a full ``_WIDTH`` of walks. One walk is ``count=1``; with
+    reproducible for any ``threads``; ``None`` takes the default of
+    :func:`resolve_threads`. With more than one thread the samples are split
+    into contiguous ranges, one wavefront each, but only into as many as
+    hold a full ``_WIDTH`` of walks. One walk is ``count=1``; with
     ``trace=True`` (one walk only) the result's ``trace`` holds its
     (steps + 1, dim) positions, the start included.
     """
@@ -443,6 +445,7 @@ def run_many(
     if trace and count != 1:
         raise ValueError("trace records one walk; count must be 1")
     StreamKey(master_seed, context, level, start_index + count - 1)  # range check
+    threads = resolve_threads(threads)
 
     nthr = thr.size
     stops = np.empty((nthr, count, domain.dim))
@@ -468,9 +471,29 @@ def run_many(
     exits = np.empty_like(stops)
     for k in range(nthr):
         exits[k] = domain._proj(stops[k])
-    return BatchResult(
-        tuple(thr.tolist()), stops, exits, steps, np.stack(history) if trace else None
-    )
+    return BatchResult(stops, exits, steps, np.stack(history) if trace else None)
+
+
+def resolve_threads(threads: Optional[int]) -> int:
+    """Explicit value, else MLWOS_THREADS, else the machine core count.
+
+    Raises ValueError for a count below 1 and for an MLWOS_THREADS that is
+    not an integer.
+    """
+    if threads is not None:
+        if threads < 1:
+            raise ValueError("threads must be at least 1")
+        return int(threads)
+    env = os.environ.get("MLWOS_THREADS")
+    if env:
+        try:
+            value = int(env)
+        except ValueError:
+            raise ValueError(f"MLWOS_THREADS must be an integer, got {env!r}") from None
+        if value < 1:
+            raise ValueError(f"MLWOS_THREADS must be at least 1, got {value}")
+        return value
+    return os.cpu_count() or 1
 
 
 def trace_csv(domain: Domain, positions: np.ndarray) -> str:

@@ -8,6 +8,25 @@ from mlwos.cli import main, parse_args
 
 _PY = [sys.executable, "-m", "mlwos"]
 
+# A valid value for each flag whose field some command does not read.
+_VALUES = {
+    "--method": "wos", "--eps": "0.01", "--eta": "4", "--warmup": "7", "--m": "5000",
+    "--reps": "3", "--format": "json", "--eps-list": "0.1,0.05", "--levels": "3",
+    "--radius": "0.3",
+}
+# The flags each command does not read; ``solve``'s depend on the method.
+_UNREAD = {
+    "wos": ["--eta", "--warmup", "--reps", "--eps-list", "--levels", "--radius"],
+    "meas": ["--m", "--reps", "--eps-list", "--levels", "--radius"],
+    "mlwos": ["--m", "--warmup", "--reps", "--eps-list", "--levels", "--radius"],
+    "study-variance": ["--method", "--warmup", "--eps-list", "--radius"],
+    "study-pdiv": ["--method", "--eps", "--eta", "--warmup", "--reps", "--levels"],
+    "study-workerr": ["--eps", "--m", "--levels", "--radius"],
+    "trace": ["--method", "--eta", "--warmup", "--m", "--reps", "--format", "--eps-list",
+              "--levels", "--radius"],
+}
+_SOLVE_CASES = [("meas", "--m"), ("mlwos", "--m"), ("wos", "--warmup"), ("mlwos", "--warmup")]
+
 
 def run_cli(args, cwd, env):
     return subprocess.run(
@@ -47,6 +66,10 @@ class TestParseArgs:
             parse_args(["solve", "--problem", "cube"])
         assert err.value.code == 1
 
+    def test_unknown_solve_method_rejected(self, capsys):
+        assert main(["solve", "--method", "mlmc", "--eta", "8"]) == 1
+        assert "unknown method 'mlmc'" in capsys.readouterr().err
+
     def test_config_file_precedence(self, tmp_path):
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps({"seed": 4, "eta": 8.0, "problem": "square"}))
@@ -70,13 +93,32 @@ class TestParseArgs:
 
     @pytest.mark.parametrize(
         "method, flag, value",
-        [("meas", "--m", "5000"), ("mlwos", "--m", "5000"),
-         ("wos", "--warmup", "7"), ("mlwos", "--warmup", "7")],
+        [(method, flag, _VALUES[flag]) for method, flag in _SOLVE_CASES]
+        + [(method, flag, _VALUES[flag]) for method in ("wos", "meas", "mlwos")
+           for flag in _UNREAD[method] if (method, flag) not in _SOLVE_CASES],
     )
     def test_option_the_method_ignores_is_usage_error(self, method, flag, value, capsys):
         assert main(["solve", "--method", method, flag, value]) == 1
         err = capsys.readouterr().err
         assert flag in err and method.upper() in err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(command, flag) for command in ("study-variance", "study-pdiv", "study-workerr", "trace")
+         for flag in _UNREAD[command]],
+    )
+    def test_flag_the_command_ignores_is_usage_error(self, command, flag, capsys):
+        assert main([command, flag, _VALUES[flag], "--output", "unused"]) == 1
+        err = capsys.readouterr().err
+        assert flag in err and command in err
+
+    def test_config_field_the_command_ignores_is_usage_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"eta": 3.0, "seed": 4}))
+        assert main(["study-pdiv", "--config", str(cfg_file)]) == 1
+        assert "--eta" in capsys.readouterr().err
+        # The same field is accepted by a command that reads it.
+        assert parse_args(["study-workerr", "--config", str(cfg_file)]).eta == 3.0
 
     def test_options_the_method_uses_accepted(self):
         assert parse_args(["solve", "--method", "wos", "--m", "50"]).m == 50
@@ -196,7 +238,7 @@ class TestTraceCommand:
     def test_trace_csv(self, tmp_path, cli_env):
         res = run_cli(
             ["trace", "--problem", "square", "--eps", "0.01", "--seed", "5",
-             "--trace-path", "path.csv"],
+             "--output", "path.csv"],
             tmp_path,
             cli_env,
         )

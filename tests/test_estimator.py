@@ -7,9 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mlwos.estimator import (
-    AllocationModel,
     Ladder,
-    LevelPlan,
+    _Levels,
     adaptive_mlmc,
     allocation_targets,
     auto_sample_count,
@@ -19,13 +18,12 @@ from mlwos.estimator import (
     mlmc_estimate,
     model_allocation,
     optimal_allocation,
-    resolve_threads,
     sample_level,
     solve,
     stream_context,
 )
 from mlwos.geometry import ball_problem, get_problem, hemisphere_problem, square_problem
-from mlwos.walk import DEFAULT_MAX_STEPS, StepLimitExceeded, run_many
+from mlwos.walk import DEFAULT_MAX_STEPS, StepLimitExceeded, resolve_threads, run_many
 
 SQUARE = square_problem()
 HEMI = hemisphere_problem()
@@ -61,6 +59,12 @@ class TestLadder:
             build_ladder(0.01, 1.0, 0.1)
         with pytest.raises(ValueError, match="eta"):
             build_ladder(0.01, 0.5, 0.1)
+
+    def test_widths_define_eps0_and_levels(self):
+        lad = Ladder(eta=2.0, eps=(0.1, 0.05, 0.05))
+        assert (lad.eps0, lad.levels) == (0.1, 2)
+        with pytest.raises(ValueError, match="at least one width"):
+            Ladder(eta=2.0, eps=())
 
     def test_rejects_target_above_hint(self):
         with pytest.raises(ValueError):
@@ -162,42 +166,29 @@ class TestResolveThreads:
 class TestModelAllocation:
     def test_single_level_degenerates(self):
         lad = build_ladder(0.1, 2.0, 0.1)
-        model = AllocationModel(s=0.5, v0=1.0, w0=5.0, work_mode="polylog", p=2)
-        assert model_allocation(model, lad) == [auto_sample_count(1.0, 0.1)]
+        assert model_allocation(1.0, 5.0, lad) == [auto_sample_count(1.0, 0.1)]
 
     def test_counts_decrease_across_levels(self):
         lad = build_ladder(0.1 / 8, 2.0, 0.1)
-        model = AllocationModel(s=0.5, v0=1.0, w0=10.0, work_mode="polylog", p=2)
-        m = model_allocation(model, lad)
+        m = model_allocation(1.0, 10.0, lad)
         assert len(m) == 4
         assert all(a > b for a, b in zip(m, m[1:]))
 
     def test_doubling_pilot_variance_doubles_counts(self):
         lad = build_ladder(0.0125, 2.0, 0.1)
-        m1 = AllocationModel(s=0.5, v0=1.0, w0=3.0, work_mode="polylog", p=2)
-        m2 = AllocationModel(s=0.5, v0=2.0, w0=3.0, work_mode="polylog", p=2)
         eps = np.asarray(lad.eps)
         t1 = allocation_targets(1.0 * (eps / lad.eps0), 3.0 * np.maximum(1, np.arange(4)) ** 2, lad.eps[-1])
         t2 = allocation_targets(2.0 * (eps / lad.eps0), 3.0 * np.maximum(1, np.arange(4)) ** 2, lad.eps[-1])
         np.testing.assert_allclose(t2, 2.0 * t1, rtol=1e-12)
-        for a, b in zip(model_allocation(m2, lad), model_allocation(m1, lad)):
+        for a, b in zip(model_allocation(2.0, 3.0, lad), model_allocation(1.0, 3.0, lad)):
             assert a >= b
 
-    def test_power_mode_requires_decay_margin(self):
-        lad = build_ladder(0.0125, 2.0, 0.1)
-        bad = AllocationModel(s=0.5, v0=1.0, w0=1.0, work_mode="power", gamma=1.5)
-        with pytest.raises(ValueError, match="2s"):
-            model_allocation(bad, lad)
-        good = AllocationModel(s=1.0, v0=1.0, w0=1.0, work_mode="power", gamma=1.5)
-        assert len(model_allocation(good, lad)) == 4
-
     def test_model_validation(self):
-        with pytest.raises(ValueError):
-            AllocationModel(s=0.0, v0=1.0, w0=1.0, work_mode="polylog", p=2)
-        with pytest.raises(ValueError):
-            AllocationModel(s=0.5, v0=1.0, w0=1.0, work_mode="polylog", p=3)
-        with pytest.raises(ValueError):
-            AllocationModel(s=0.5, v0=1.0, w0=1.0, work_mode="power")
+        lad = build_ladder(0.0125, 2.0, 0.1)
+        with pytest.raises(ValueError, match="pilot"):
+            model_allocation(-1.0, 1.0, lad)
+        with pytest.raises(ValueError, match="pilot"):
+            model_allocation(1.0, 0.0, lad)
 
 
 class TestMcEstimate:
@@ -239,26 +230,23 @@ class TestMcEstimate:
 class TestMlmcEstimate:
     def test_single_level_plan_matches_mc(self):
         lad = build_ladder(0.05, 2.0, 0.05)
-        plan = LevelPlan(lad, (400,))
-        ml = mlmc_estimate(SQUARE, plan, seed=4, threads=2)
+        ml = mlmc_estimate(SQUARE, lad, (400,), seed=4, threads=2)
         mc = mc_estimate(SQUARE, 0.05, m=400, seed=4, threads=2)
         assert ml.value == mc.value
         assert ml.total_steps == mc.total_steps
         assert ml.stat_error == mc.stat_error
 
     def test_degenerate_level_contributes_zero(self):
-        lad = Ladder(eps0=0.05, eta=2.0, levels=1, eps=(0.05, 0.05))
-        plan = LevelPlan(lad, (200, 150))
-        rep = mlmc_estimate(SQUARE, plan, seed=6, threads=1)
+        lad = Ladder(eta=2.0, eps=(0.05, 0.05))
+        rep = mlmc_estimate(SQUARE, lad, (200, 150), seed=6, threads=1)
         assert rep.level_stats[1].mean == 0.0
         assert rep.level_stats[1].variance == 0.0
 
     def test_telescoping_unbiasedness(self):
         lad = default_ladder(SQUARE, 0.02, 4.0)
-        plan = LevelPlan(lad, tuple([600] * (lad.levels + 1)))
         ml_vals, mc_vals, ml_stats, mc_stats = [], [], [], []
         for seed in range(20):
-            ml = mlmc_estimate(SQUARE, plan, seed=seed, threads=2)
+            ml = mlmc_estimate(SQUARE, lad, [600] * (lad.levels + 1), seed=seed, threads=2)
             mc = mc_estimate(SQUARE, 0.02, m=600, seed=seed, threads=2)
             ml_vals.append(ml.value)
             mc_vals.append(mc.value)
@@ -270,17 +258,21 @@ class TestMlmcEstimate:
 
     def test_stat_error_formula(self):
         lad = default_ladder(SQUARE, 0.03, 4.0)
-        plan = LevelPlan(lad, tuple([300] * (lad.levels + 1)))
-        rep = mlmc_estimate(SQUARE, plan, seed=2, threads=1)
+        rep = mlmc_estimate(SQUARE, lad, [300] * (lad.levels + 1), seed=2, threads=1)
         expected = math.sqrt(sum(st.variance / st.count for st in rep.level_stats))
         assert rep.stat_error == pytest.approx(expected, rel=1e-12)
         assert rep.value == pytest.approx(sum(st.mean for st in rep.level_stats), rel=1e-12)
 
     def test_propagates_step_limit(self):
         lad = default_ladder(SQUARE, 1e-4, 16.0)
-        plan = LevelPlan(lad, tuple([50] * (lad.levels + 1)))
         with pytest.raises(StepLimitExceeded):
-            mlmc_estimate(SQUARE, plan, seed=0, threads=1, max_steps=2)
+            mlmc_estimate(SQUARE, lad, [50] * (lad.levels + 1), seed=0, threads=1, max_steps=2)
+
+    @pytest.mark.parametrize("m", [(100,), (100, 100, 100), (100, 0)], ids=["short", "long", "zero"])
+    def test_rejects_bad_counts(self, m):
+        lad = Ladder(eta=2.0, eps=(0.1, 0.05))
+        with pytest.raises(ValueError, match="per level|at least 1"):
+            mlmc_estimate(SQUARE, lad, m, threads=1)
 
 
 class TestAdaptiveMlmc:
@@ -326,8 +318,7 @@ class TestReportSchema:
 
     def test_work_additivity_multilevel(self):
         lad = default_ladder(SQUARE, 0.02, 4.0)
-        plan = LevelPlan(lad, tuple([200] * (lad.levels + 1)))
-        rep = mlmc_estimate(SQUARE, plan, seed=7, threads=1)
+        rep = mlmc_estimate(SQUARE, lad, [200] * (lad.levels + 1), seed=7, threads=1)
         total = sum(round(st.mean_steps * st.count) for st in rep.level_stats)
         assert rep.total_steps == total
 
@@ -361,6 +352,32 @@ class TestSampleLevel:
         )
 
 
+class TestLevels:
+    X1 = ball_problem(2, data="x1", start=(0.3, 0.2))
+    EPS = (0.1, 0.03, 0.01)
+    WIDTHS = {0: (0.1,), 1: (0.1, 0.03), 2: (0.03, 0.01)}
+
+    @settings(max_examples=40, deadline=None)
+    @given(level=st.sampled_from([0, 1, 2]), a=st.integers(0, 80), extra=st.integers(1, 80),
+           seed=st.integers(0, 2 ** 64 - 1))
+    def test_split_top_up_equals_one_draw(self, level, a, extra, seed):
+        """Topping a level up to ``a`` then to ``b`` draws the same samples
+        as one ``sample_level`` draw of ``b``, bit for bit."""
+        b = a + extra
+        ctx = stream_context(9)
+        levels = _Levels(self.X1, self.EPS, seed, ctx, DEFAULT_MAX_STEPS, 1)
+        levels.top_up(level, a)
+        levels.top_up(level, b)
+        levels.top_up(level, a)  # already held: draws nothing
+        values, steps = sample_level(
+            self.X1, self.WIDTHS[level], b, seed=seed, context=ctx, level=level,
+            max_steps=DEFAULT_MAX_STEPS, threads=1,
+        )
+        np.testing.assert_array_equal(levels.values[level], values)
+        np.testing.assert_array_equal(levels.steps[level], steps)
+        assert [v.size for v in levels.values] == [b if l == level else 0 for l in range(3)]
+
+
 class TestSolve:
     @pytest.mark.parametrize("method", ["wos", "WOS"])
     @pytest.mark.parametrize("m", [None, 300])
@@ -382,12 +399,8 @@ class TestSolve:
             SQUARE, ladder.eps[:1], 100, seed=4, context=stream_context(6, 1),
             max_steps=DEFAULT_MAX_STEPS, threads=1,
         )
-        model = AllocationModel(
-            s=1.0 / 3.0, v0=float(np.var(pilot_v, ddof=1)), w0=float(np.mean(pilot_s)),
-            work_mode="polylog", p=2,
-        )
-        plan = LevelPlan(ladder, tuple(model_allocation(model, ladder)))
-        want = mlmc_estimate(SQUARE, plan, seed=4, threads=1, context=6)
+        m = model_allocation(float(np.var(pilot_v, ddof=1)), float(np.mean(pilot_s)), ladder)
+        want = mlmc_estimate(SQUARE, ladder, m, seed=4, threads=1, context=6)
         want.total_steps += int(np.sum(pilot_s))
         got = solve(SQUARE, "MLWOS", 0.02, eta=4.0, seed=4, threads=1, context=6)
         assert ladder.levels == 2
