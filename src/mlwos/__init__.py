@@ -38,6 +38,7 @@ from .estimator import (
     optimal_allocation,
     sample_level,
     solve,
+    solve_reps,
     stream_context,
 )
 from .studies import (

@@ -32,8 +32,6 @@ from .geometry import PROBLEM_NAMES, get_problem
 __all__ = ["RunConfig", "parse_args", "run", "main"]
 
 _COMMANDS = ("solve", "study-variance", "study-pdiv", "study-workerr", "trace")
-_EPS_SWEEP = "0.1,0.03,0.01,0.003"
-_PDIV_SWEEP = "0.05,0.025,0.0125,0.00625"
 
 # The RunConfig fields each command reads; ``solve`` also reads those of
 # its method. A field set by flag or config file that the command does not
@@ -96,8 +94,12 @@ class RunConfig:
             raise ValueError("--reps must be at least 1")
         if self.warmup < 2:
             raise ValueError("--warmup must be at least 2")
+        if self.m is None and "m" in _READS[self.command]:
+            raise ValueError(f"{self.command} needs --m; it cannot be null")
         if self.m is not None and self.m < 2:
             raise ValueError("--m must be at least 2")
+        if "eps_list" in _READS[self.command]:
+            _parse_eps_list(self.eps_list)
         if self.format not in ("csv", "json"):
             raise ValueError("--format must be csv or json")
 
@@ -115,14 +117,14 @@ _DEFAULTS = {
     "study-pdiv": {
         "format": "csv",
         "output": "pdiv.csv",
-        "eps_list": _PDIV_SWEEP,
+        "eps_list": "0.05,0.025,0.0125,0.00625",
         "m": 100000,
         "reps": 1,
     },
     "study-workerr": {
         "format": "csv",
         "output": "workerr.csv",
-        "eps_list": _EPS_SWEEP,
+        "eps_list": "0.1,0.03,0.01,0.003",
         "method": "wos,mlwos,meas",
         "reps": 20,
     },
@@ -204,13 +206,17 @@ def _usage_exit(message: str) -> SystemExit:
     return SystemExit(1)
 
 
-def _parse_eps_list(text: str):
+def _parse_eps_list(text):
+    if not isinstance(text, str):
+        raise ValueError(f"--eps-list must be a comma-separated string, got {text!r}")
     try:
         values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise ValueError(f"bad eps list {text!r}")
+        raise ValueError(f"bad --eps-list {text!r}")
     if not values:
-        raise ValueError("empty eps list")
+        raise ValueError("--eps-list must not be empty")
+    if any(v <= 0.0 for v in values):
+        raise ValueError(f"--eps-list widths must be positive, got {text!r}")
     return values
 
 
@@ -279,7 +285,7 @@ def _run_variance(config: RunConfig) -> str:
         eta=config.eta,
         eps0=config.eps_target,
         num_levels=config.levels,
-        m_per_level=config.m or 10000,
+        m_per_level=config.m,
         seed=config.seed,
         threads=config.threads,
         reps=config.reps,
@@ -293,12 +299,12 @@ def _run_variance(config: RunConfig) -> str:
 
 def _run_pdiv(config: RunConfig) -> str:
     problem = get_problem(config.problem)
-    eps_list = _parse_eps_list(config.eps_list or _PDIV_SWEEP)
+    eps_list = _parse_eps_list(config.eps_list)
     result = studies.pdiv_study(
         problem,
         eps_list,
         radius=config.radius,
-        m=config.m or 100000,
+        m=config.m,
         seed=config.seed,
         threads=config.threads,
     )
@@ -312,7 +318,7 @@ def _run_pdiv(config: RunConfig) -> str:
 def _run_workerr(config: RunConfig) -> str:
     problem = get_problem(config.problem)
     methods = [m.strip() for m in config.method.split(",") if m.strip()]
-    eps_list = _parse_eps_list(config.eps_list or _EPS_SWEEP)
+    eps_list = _parse_eps_list(config.eps_list)
     result = studies.work_error_study(
         problem,
         methods,

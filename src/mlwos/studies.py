@@ -345,7 +345,8 @@ def work_error_study(
     """Compare estimators by repeated independent runs per error target.
 
     Every (method, eps_target, rep) cell is a full estimator run with its
-    own stream context; per cell we record the error against the problem's
+    own stream context; a (method, eps_target)'s reps run in lockstep
+    through :func:`estimator.solve_reps`. Per cell we record the error against the problem's
     reference solution and the total work in walk steps. Aggregates are RMS
     error and mean work per (method, eps_target); the per-method log-log fit
     of RMS error versus mean work measures the convergence rate.
@@ -366,16 +367,15 @@ def work_error_study(
     fits = {}
     for mi, method in enumerate(methods):
         for ei, eps in enumerate(eps_targets):
-            values = []
-            works = []
-            for rep in range(reps):
-                cell = _CTX_WORKERR | (((mi * len(eps_targets) + ei) * reps) + rep)
-                report = estimator.solve(
-                    problem, method, eps, eta, warmup=warmup, seed=seed, threads=threads,
-                    context=cell,
-                )
-                values.append(report.value)
-                works.append(report.total_steps)
+            cells = [
+                _CTX_WORKERR | (((mi * len(eps_targets) + ei) * reps) + rep) for rep in range(reps)
+            ]
+            reports = estimator.solve_reps(
+                problem, method, eps, cells, eta, warmup=warmup, seed=seed, threads=threads
+            )
+            values = [report.value for report in reports]
+            works = [report.total_steps for report in reports]
+            for rep, report in enumerate(reports):
                 records.append(
                     StudyRecord(
                         method=method,

@@ -12,7 +12,8 @@ jump direction in one array operation.
 Directions are unit vectors from normalized Box-Muller gaussian draws, so
 every path step consumes a fixed number of counter positions. Consequence:
 a walk's trajectory depends only on its key, never on thread count, batch
-membership, or execution order.
+membership, or execution order. So one engine call can run walks of many
+streams, each with its own context and sample index.
 
 The engine (``_walk_chunk``) runs a wavefront: a fixed-width set of walks
 in flight, advanced together, drawing their lanes in strides aligned to
@@ -23,7 +24,6 @@ strides as the one before, so a call's tail takes few draws.
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import math
 import os
@@ -69,6 +69,7 @@ _WIDTH = 16384
 # from those), and the Weyl increments of key words 0 and 1.
 _MUL = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
 _WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_WEYL_U64 = np.array(_WEYL, dtype=np.uint64)
 # Shift and mask operands are 0-d arrays: a numpy scalar operand costs a
 # ufunc call about half a microsecond more.
 _MASK32 = np.array(0xFFFFFFFF, dtype=np.uint64)
@@ -76,6 +77,7 @@ _S32 = np.array(32, dtype=np.uint64)
 _MUL_HI = _MUL >> _S32
 _MUL_LO = _MUL & _MASK32
 _S11 = np.array(11, dtype=np.uint64)
+_S16 = np.array(16, dtype=np.uint64)
 _U64ONE = np.array(1, dtype=np.uint64)
 _U64MAX = 2 ** 64 - 1
 # Calls of at most this many blocks multiply by rows of their own shape;
@@ -108,9 +110,12 @@ def philox4x64(c0, c1, c2, c3, k0, k1):
     ``lo`` with its rows swapped, read only row by row, so no operand has
     a negative stride. ``lo`` and ``b`` trade buffers each round: every
     buffer is made once per call, and every operation writes with ``out=``.
-    The ten round keys are computed up front from Python ints.
+    Scalar key words' ten round keys are computed up front from Python
+    ints. Key words given as arrays (one key per row, broadcast against
+    the counters) are copied once and advanced in place each round, so no
+    (10, rows) table of round keys is made.
     """
-    shape = np.broadcast_shapes(np.shape(c0), np.shape(c1), np.shape(c2), np.shape(c3))
+    shape = np.broadcast_shapes(*(np.shape(v) for v in (c0, c1, c2, c3, k0, k1)))
     a = np.empty((2,) + shape, dtype=np.uint64)
     lo = np.empty_like(a)
     # ``lo`` holds b = (c1, c3) rows swapped, as every later round leaves it.
@@ -121,14 +126,21 @@ def philox4x64(c0, c1, c2, c3, k0, k1):
         mul, mul_hi, mul_lo = (np.repeat(m, n, axis=1) for m in (_MUL, _MUL_HI, _MUL_LO))
     else:
         mul, mul_hi, mul_lo = _MUL, _MUL_HI, _MUL_LO
-    k0, k1 = int(k0), int(k1)
-    keys = np.array(
-        [((k0 + r * _WEYL[0]) & _U64MAX, (k1 + r * _WEYL[1]) & _U64MAX) for r in range(10)],
-        dtype=np.uint64,
-    )
     spare, hi, t, w = (np.empty_like(a) for _ in range(4))
     a0, a1 = a
     hi0, hi1 = hi
+    row_keys = np.ndim(k0) or np.ndim(k1)
+    if row_keys:
+        # Copies advanced in place each round, XORed into the (c0, c2) rows
+        # viewed in the broadcast shape.
+        keys = [np.array(k, dtype=np.uint64) for k in (k0, k1)]
+        shaped = (a0.reshape(shape), a1.reshape(shape))
+    else:
+        k0, k1 = int(k0), int(k1)
+        keys = np.array(
+            [((k0 + r * _WEYL[0]) & _U64MAX, (k1 + r * _WEYL[1]) & _U64MAX) for r in range(10)],
+            dtype=np.uint64,
+        )
     for rnd in range(10):
         b1, b0 = lo
         lo, spare = spare, lo
@@ -151,8 +163,13 @@ def philox4x64(c0, c1, c2, c3, k0, k1):
         np.add(hi, w, out=hi)
         np.bitwise_xor(hi1, b0, out=a0)
         np.bitwise_xor(hi0, b1, out=a1)
-        np.bitwise_xor(a0, keys[rnd, 0, ...], out=a0)
-        np.bitwise_xor(a1, keys[rnd, 1, ...], out=a1)
+        if row_keys:
+            for row, key, inc in zip(shaped, keys, _WEYL_U64):
+                np.bitwise_xor(row, key, out=row)
+                np.add(key, inc, out=key)
+        else:
+            np.bitwise_xor(a0, keys[rnd, 0, ...], out=a0)
+            np.bitwise_xor(a1, keys[rnd, 1, ...], out=a1)
     return a0.reshape(shape), lo[1].reshape(shape), a1.reshape(shape), lo[0].reshape(shape)
 
 
@@ -186,6 +203,33 @@ def _key_words(master_seed: int, context: int, level: int):
     # (master_seed, context, level) pack injectively into the 128-bit Philox
     # key; the sample index occupies its own counter word.
     return _u64(master_seed), _u64((context << 16) | level)
+
+
+def _stream_words(value, count: int, bits: int, name: str):
+    """A stream field of ``run_many``: an int, or a 1-D array of ``count``
+    integers below ``2 ** bits`` returned as uint64."""
+    if np.ndim(value) == 0:
+        return int(value)
+    words = np.asarray(value)
+    if words.ndim != 1 or words.size != count:
+        raise ValueError(f"{name} must be an integer or a 1-D array of count={count} integers")
+    if words.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers (uint64 for indices of 2**63 and above)")
+    if words.dtype.kind == "i" and words.min() < 0:
+        raise ValueError(f"{name} values must not be negative")
+    words = words.astype(np.uint64, copy=False)
+    if bits < 64 and words.max() >= 2 ** bits:
+        raise ValueError(f"{name} values must fit in {bits} unsigned bits")
+    return words
+
+
+def _row_key(streams, row: int) -> StreamKey:
+    """The stream key of row ``row`` of a wavefront's ``streams``."""
+    master_seed, context, level, start = streams
+    if np.ndim(context):
+        context = int(context[row])
+    index = int(start[row]) if np.ndim(start) else start + row
+    return StreamKey(master_seed, context, level, index)
 
 
 def _raw_lanes(k0, k1, words, first, blocks):
@@ -298,18 +342,22 @@ class BatchResult:
     trace: Optional[np.ndarray] = None
 
 
-def _walk_chunk(domain, x0, thr, key, count, max_steps, stops, steps, trace=False):
-    """Run the walks of samples ``key.sample_index`` to ``+ count - 1`` as
-    one wavefront.
+def _walk_chunk(domain, x0, thr, streams, count, max_steps, stops, steps, trace=False):
+    """Run ``count`` walks, rows 0 to ``count - 1``, as one wavefront.
 
-    At most ``_WIDTH`` walks are in flight, in ascending sample order. Each
+    ``streams`` is (master_seed, context, level, start): row ``i`` draws
+    from the stream (master_seed, context, level, start + i), where a
+    ``context`` or ``start`` given as a uint64 array holds row ``i``'s own
+    value at [i] instead.
+
+    At most ``_WIDTH`` walks are in flight, in ascending row order. Each
     iteration draws lanes for every walk in flight in whole strides of
     Philox blocks (two steps per block in 2-D), turns them into directions
     in one call, then advances the walks one sub-step at a time: jump the
     current boundary distance in the step's direction, record every
-    threshold crossed, drop walks past the last one. While samples are left,
+    threshold crossed, drop walks past the last one. While rows are left,
     an iteration draws one stride, and finished slots are refilled with the
-    next samples at the stride boundary. After that (the tail), draws cover
+    next rows at the stride boundary. After that (the tail), draws cover
     1, 2, 4, ... strides, capped so that walks times strides stays within
     the width. Every draw but a walk's last is used in full, and its last
     is at most one stride longer than all its earlier draws together, so
@@ -318,33 +366,40 @@ def _walk_chunk(domain, x0, thr, key, count, max_steps, stops, steps, trace=Fals
     its stream (``L`` lanes per direction). Walks enter and draw in whole
     strides, so every draw starts on a block boundary.
 
-    Sample ``key.sample_index + i`` writes column ``i`` of ``stops``
-    (nthr, count, dim) and ``steps`` (nthr, count). With ``trace`` (one
-    walk), returns its position after every step, the start included.
+    Row ``i`` writes column ``i`` of ``stops`` (nthr, count, dim) and
+    ``steps`` (nthr, count). With ``trace`` (one walk), returns its
+    position after every step, the start included.
     """
     dim = domain.dim
     nthr = thr.size
     lanes_per_step = _lanes_per_direction(dim)
     stride = math.lcm(lanes_per_step, 4) // lanes_per_step
-    k0, k1 = _key_words(key.master_seed, key.context, key.level)
-    first = _u64(key.sample_index)
+    master_seed, context, level, start = streams
+    # A row's Philox key word 1 packs its context with the level. For
+    # per-row contexts (``k1`` is then the level alone) it is made at
+    # refill, for the entering rows only, and kept for the walks in flight.
+    row_keys = np.ndim(context) > 0
+    k0, k1 = _key_words(master_seed, 0 if row_keys else context, level)
+    row_starts = np.ndim(start) > 0
+    first = start if row_starts else _u64(start)
     d0 = max(float(domain._dist(x0[None, :])[0]), 0.0)
     # A walk past its last threshold compares against -inf: no more hits.
     thr_next = np.append(thr, -np.inf)
     width = min(_WIDTH, count)
 
-    # One entry per walk in flight, in ascending sample order; positions
-    # are stored coordinate-major, (dim, walks), so every numpy call runs
-    # along the walks.
+    # One entry per walk in flight, in ascending row order; positions are
+    # stored coordinate-major, (dim, walks), so every numpy call runs along
+    # the walks.
     idx = np.empty(0, dtype=np.int64)  # output column
     pos = np.empty((dim, 0))
     dist = np.empty(0)
     entry = np.empty(0, dtype=np.int64)  # value of ``now`` when it started
     ptr = np.empty(0, dtype=np.int64)  # thresholds crossed
+    keys = np.empty(0, dtype=np.uint64)  # key word 1, with per-row contexts
     now = 0  # sub-steps taken by the wavefront
     history = [x0.copy()] if trace else None
     filled = 0
-    reach = 1  # strides in the next draw once no samples are left to refill
+    reach = 1  # strides in the next draw once no rows are left to refill
     while True:
         new = min(width - idx.size, count - filled)
         if new:
@@ -353,6 +408,8 @@ def _walk_chunk(domain, x0, thr, key, count, max_steps, stops, steps, trace=Fals
             dist = np.concatenate([dist, np.full(new, d0)])
             entry = np.concatenate([entry, np.full(new, now)])
             ptr = np.concatenate([ptr, np.zeros(new, dtype=np.int64)])
+            if row_keys:
+                keys = np.concatenate([keys, (context[filled:filled + new] << _S16) | k1])
             filled += new
         if not idx.size:
             return history
@@ -362,8 +419,9 @@ def _walk_chunk(domain, x0, thr, key, count, max_steps, stops, steps, trace=Fals
             nsub *= reach
             reach *= 2
         lanes = _raw_lanes(
-            k0, k1, first + idx.astype(np.uint64), (now - entry) * lanes_per_step // 4,
-            nsub * lanes_per_step // 4,
+            k0, keys if row_keys else k1,
+            first[idx] if row_starts else first + idx.astype(np.uint64),
+            (now - entry) * lanes_per_step // 4, nsub * lanes_per_step // 4,
         )
         # (dim, sub-step, column of this draw); the lanes are not kept.
         dirs = _directions(dim, lanes).T.reshape(dim, nsub, idx.size)
@@ -372,9 +430,8 @@ def _walk_chunk(domain, x0, thr, key, count, max_steps, stops, steps, trace=Fals
         for t in range(nsub):
             if now - entry[0] >= max_steps:
                 # The first walk in flight is the oldest and has the lowest
-                # sample index, so it is the lowest that exceeds the limit.
-                bad = key.sample_index + int(idx[0])
-                raise StepLimitExceeded(max_steps, dataclasses.replace(key, sample_index=bad))
+                # row, so it is the lowest row that exceeds the limit.
+                raise StepLimitExceeded(max_steps, _row_key(streams, int(idx[0])))
             g = dirs[:, t] if live is None else dirs[:, t].take(live, axis=1)
             g *= dist
             pos += g
@@ -399,6 +456,8 @@ def _walk_chunk(domain, x0, thr, key, count, max_steps, stops, steps, trace=Fals
                 continue
             idx, dist, entry, ptr = idx[keep], dist[keep], entry[keep], ptr[keep]
             pos = pos.take(keep, axis=1)
+            if row_keys:
+                keys = keys[keep]
             live = keep if live is None else live[keep]
             if not idx.size:
                 break
@@ -409,9 +468,9 @@ def run_many(
     x0,
     thresholds: Sequence[float],
     master_seed: int,
-    context: int = 0,
+    context=0,
     level: int = 0,
-    start_index: int = 0,
+    start_index=0,
     count: int = 1,
     max_steps: int = DEFAULT_MAX_STEPS,
     threads: Optional[int] = None,
@@ -419,15 +478,18 @@ def run_many(
 ) -> BatchResult:
     """Run ``count`` independent walks, each recorded at every threshold.
 
-    Sample ``i`` draws from the stream keyed by
-    ``StreamKey(master_seed, context, level, start_index + i)``; results are
-    written to slots in sample-index order, so the output is bitwise
-    reproducible for any ``threads``; ``None`` takes the default of
-    :func:`resolve_threads`. With more than one thread the samples are split
-    into contiguous ranges, one wavefront each, but only into as many as
-    hold a full ``_WIDTH`` of walks. One walk is ``count=1``; with
-    ``trace=True`` (one walk only) the result's ``trace`` holds its
-    (steps + 1, dim) positions, the start included.
+    Walk ``i`` draws from the stream keyed by
+    ``StreamKey(master_seed, context, level, start_index + i)``. Either of
+    ``context`` and ``start_index`` may instead be a 1-D integer array of
+    ``count`` values, one per walk: walk ``i`` then takes ``context[i]`` or
+    sample index ``start_index[i]`` (uint64 reaches 2**64 - 1), so one call
+    can run walks of many streams. Results are written to slots in walk
+    order, so the output is bitwise reproducible for any ``threads``;
+    ``None`` takes the default of :func:`resolve_threads`. With more than
+    one thread the walks are split into contiguous ranges, one wavefront
+    each, but only into as many as hold a full ``_WIDTH`` of walks. One walk
+    is ``count=1``; with ``trace=True`` (one walk only) the result's
+    ``trace`` holds its (steps + 1, dim) positions, the start included.
     """
     x0 = as_point(x0, domain.dim)
     thr = np.asarray(thresholds, dtype=np.float64)
@@ -444,7 +506,9 @@ def run_many(
         raise ValueError("count must be positive")
     if trace and count != 1:
         raise ValueError("trace records one walk; count must be 1")
-    StreamKey(master_seed, context, level, start_index + count - 1)  # range check
+    context = _stream_words(context, count, 32, "context")
+    start_index = _stream_words(start_index, count, 64, "start_index")
+    _row_key((master_seed, context, level, start_index), count - 1)  # range check
     threads = resolve_threads(threads)
 
     nthr = thr.size
@@ -454,9 +518,14 @@ def run_many(
     bounds = [count * i // parts for i in range(parts + 1)]
 
     def work(lo, hi):
-        key = StreamKey(master_seed, context, level, start_index + lo)
+        part = (
+            master_seed,
+            context if np.ndim(context) == 0 else context[lo:hi],
+            level,
+            start_index + lo if np.ndim(start_index) == 0 else start_index[lo:hi],
+        )
         return _walk_chunk(
-            domain, x0, thr, key, hi - lo, max_steps, stops[:, lo:hi], steps[:, lo:hi], trace
+            domain, x0, thr, part, hi - lo, max_steps, stops[:, lo:hi], steps[:, lo:hi], trace
         )
 
     history = None

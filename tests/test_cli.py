@@ -120,6 +120,38 @@ class TestParseArgs:
         # The same field is accepted by a command that reads it.
         assert parse_args(["study-workerr", "--config", str(cfg_file)]).eta == 3.0
 
+    @pytest.mark.parametrize(
+        "command, field, value, flag",
+        [
+            ("study-variance", "m", None, "--m"),
+            ("study-pdiv", "m", None, "--m"),
+            ("study-pdiv", "eps_list", "", "--eps-list"),
+            ("study-workerr", "eps_list", "", "--eps-list"),
+            ("study-workerr", "eps_list", " , ", "--eps-list"),
+            ("study-workerr", "eps_list", [0.1, 0.03], "--eps-list"),
+            ("study-workerr", "eps_list", "0.1,-0.03", "--eps-list"),
+            ("study-pdiv", "eps_list", "0.05,0", "--eps-list"),
+        ],
+    )
+    def test_config_value_a_study_cannot_run_is_usage_error(
+        self, tmp_path, capsys, command, field, value, flag
+    ):
+        """A null ``m`` or an empty ``eps_list`` would run on a fallback
+        default while the artifact echoed the null or empty value; a
+        nonpositive width would fail deep inside the estimators."""
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({field: value}))
+        assert main([command, "--config", str(cfg_file), "--output", "unused"]) == 1
+        assert flag in capsys.readouterr().err
+        if field == "eps_list":
+            assert main([command, "--eps-list", "", "--output", "unused"]) == 1
+            assert flag in capsys.readouterr().err
+
+    def test_null_m_is_automatic_for_wos_solve(self, tmp_path):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"m": None}))
+        assert parse_args(["solve", "--method", "wos", "--config", str(cfg_file)]).m is None
+
     def test_options_the_method_uses_accepted(self):
         assert parse_args(["solve", "--method", "wos", "--m", "50"]).m == 50
         assert parse_args(["solve", "--method", "MEAS", "--warmup", "7"]).warmup == 7

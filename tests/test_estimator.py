@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mlwos import estimator, walk
 from mlwos.estimator import (
     Ladder,
     _Levels,
@@ -20,6 +23,7 @@ from mlwos.estimator import (
     optimal_allocation,
     sample_level,
     solve,
+    solve_reps,
     stream_context,
 )
 from mlwos.geometry import ball_problem, get_problem, hemisphere_problem, square_problem
@@ -69,6 +73,11 @@ class TestLadder:
     def test_rejects_target_above_hint(self):
         with pytest.raises(ValueError):
             build_ladder(0.2, 2.0, 0.1)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.01])
+    def test_default_ladder_rejects_nonpositive_target(self, eps):
+        with pytest.raises(ValueError, match="positive"):
+            default_ladder(SQUARE, eps, 16.0)
 
     def test_default_ladder_respects_start_distance(self):
         for prob in (SQUARE, HEMI):
@@ -358,24 +367,75 @@ class TestLevels:
     WIDTHS = {0: (0.1,), 1: (0.1, 0.03), 2: (0.03, 0.01)}
 
     @settings(max_examples=40, deadline=None)
-    @given(level=st.sampled_from([0, 1, 2]), a=st.integers(0, 80), extra=st.integers(1, 80),
-           seed=st.integers(0, 2 ** 64 - 1))
-    def test_split_top_up_equals_one_draw(self, level, a, extra, seed):
-        """Topping a level up to ``a`` then to ``b`` draws the same samples
-        as one ``sample_level`` draw of ``b``, bit for bit."""
-        b = a + extra
-        ctx = stream_context(9)
-        levels = _Levels(self.X1, self.EPS, seed, ctx, DEFAULT_MAX_STEPS, 1)
-        levels.top_up(level, a)
-        levels.top_up(level, b)
-        levels.top_up(level, a)  # already held: draws nothing
-        values, steps = sample_level(
-            self.X1, self.WIDTHS[level], b, seed=seed, context=ctx, level=level,
-            max_steps=DEFAULT_MAX_STEPS, threads=1,
+    @given(level=st.sampled_from([0, 1, 2]),
+           counts=st.lists(st.tuples(st.integers(0, 80), st.integers(1, 80)), min_size=1,
+                           max_size=4),
+           pack=st.sampled_from([1, 50, 8192]), seed=st.integers(0, 2 ** 64 - 1))
+    def test_split_top_up_equals_one_draw(self, level, counts, pack, seed):
+        """Topping replica ``r``'s level up to ``a`` then to ``b``, its draws
+        packed with the other replicas' into calls of at most ``pack``
+        walks, draws the same samples as one ``sample_level`` draw of ``b``
+        from its own context, bit for bit."""
+        contexts = [stream_context(9 + r) for r in range(len(counts))]
+        with mock.patch.object(estimator, "_PACK_WALKS", pack):
+            levels = _Levels(self.X1, self.EPS, seed, contexts, DEFAULT_MAX_STEPS, 1)
+            levels.top_up(level, [a for a, _ in counts])
+            levels.top_up(level, [a + extra for a, extra in counts])
+            levels.top_up(level, [a for a, _ in counts])  # already held: draws nothing
+        for r, (ctx, (a, extra)) in enumerate(zip(contexts, counts)):
+            b = a + extra
+            values, steps = sample_level(
+                self.X1, self.WIDTHS[level], b, seed=seed, context=ctx, level=level,
+                max_steps=DEFAULT_MAX_STEPS, threads=1,
+            )
+            np.testing.assert_array_equal(levels.values[r][level], values)
+            np.testing.assert_array_equal(levels.steps[r][level], steps)
+            assert [v.size for v in levels.values[r]] == [b if l == level else 0 for l in range(3)]
+
+
+class TestSolveReps:
+    CONTEXTS = [7, 0, 2 ** 28 - 1, 12]
+
+    @staticmethod
+    def _untimed(reports):
+        return [dataclasses.replace(r, wall_time=0.0) for r in reports]
+
+    def _sequential(self, method, eps, **kwargs):
+        return self._untimed(
+            [solve(SQUARE, method, eps, context=c, **kwargs) for c in self.CONTEXTS]
         )
-        np.testing.assert_array_equal(levels.values[level], values)
-        np.testing.assert_array_equal(levels.steps[level], steps)
-        assert [v.size for v in levels.values] == [b if l == level else 0 for l in range(3)]
+
+    @pytest.mark.parametrize(
+        "method, eps, m",
+        [("WOS", 0.03, None), ("WOS", 0.03, 300), ("MLWOS", 0.02, None), ("MEAS", 0.01, None)],
+    )
+    def test_equals_sequential_solves(self, method, eps, m):
+        args = dict(eta=4.0, warmup=50, m=m, seed=5, threads=1)
+        got = solve_reps(SQUARE, method, eps, self.CONTEXTS, **args)
+        assert self._untimed(got) == self._sequential(method, eps, **args)
+
+    @pytest.mark.parametrize("m, calls", [(3000, [6000, 6000]), (9000, [9000] * 4)])
+    def test_packs_straddle_the_limit(self, m, calls, monkeypatch):
+        """Four replicas' draws of 3000 fill two calls of 6000, below the
+        8192 limit; draws of 9000 each stay one call of their own."""
+        counts = []
+        run_many = walk.run_many
+
+        def counted(*args, **kwargs):
+            counts.append(kwargs["count"])
+            return run_many(*args, **kwargs)
+
+        monkeypatch.setattr(walk, "run_many", counted)
+        got = solve_reps(SQUARE, "WOS", 0.1, self.CONTEXTS, m=m, seed=2, threads=1)
+        assert counts == calls
+        monkeypatch.undo()
+        assert self._untimed(got) == self._sequential("WOS", 0.1, m=m, seed=2, threads=1)
+
+    def test_rejects_empty_contexts_and_unknown_method(self):
+        with pytest.raises(ValueError, match="at least one context"):
+            solve_reps(SQUARE, "WOS", 0.1, [])
+        with pytest.raises(ValueError, match="unknown method"):
+            solve_reps(SQUARE, "mlmc", 0.1, [0])
 
 
 class TestSolve:

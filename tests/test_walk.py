@@ -28,6 +28,17 @@ FRACTIONS = st.lists(
 )
 SEEDS = st.integers(0, 2 ** 64 - 1)
 PROPERTY = settings(max_examples=50, deadline=None)
+# (context, start index, count) segments of one call with per-walk streams;
+# starts near 2**64 - 1 are clipped so the segment's last index fits.
+SEGMENTS = st.lists(
+    st.tuples(
+        st.integers(0, 2 ** 32 - 1),
+        st.integers(0, 2 ** 40) | st.integers(2 ** 64 - 100, 2 ** 64 - 1),
+        st.integers(1, 40),
+    ),
+    min_size=1,
+    max_size=5,
+)
 
 
 def _thresholds(domain, x0, fractions):
@@ -47,6 +58,13 @@ def _assert_same(a, b):
 
 def _u64(v):
     return np.array(v, dtype=np.uint64)
+
+
+def _per_walk(segments):
+    """The per-walk (context, start_index) arrays of ``segments``."""
+    context = np.concatenate([np.full(n, c, dtype=np.uint64) for c, _, n in segments])
+    start = np.concatenate([_u64(s) + np.arange(n, dtype=np.uint64) for _, s, n in segments])
+    return context, start
 
 
 def _lanes(key, blocks, first=0):
@@ -144,6 +162,30 @@ class TestPhiloxKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 1700 * 1024
+
+    def test_traced_peak_of_per_walk_streams(self):
+        """A full-width ``run_many`` with a context and a sample index per
+        walk peaks at most three words per walk above the same call with
+        scalar ones (1.6 measured): key words are made at refill for the
+        walks entering, and Philox advances one row key in place. A
+        (10, rows) table of round keys adds 11.6."""
+        count = walk._WIDTH
+        context, start = _per_walk(
+            [(c, 2 ** 64 - count, count // 4) for c in (7, 1007, 2007, 3007)]
+        )
+        start += _u64(np.arange(4).repeat(count // 4) * (count // 4))
+
+        def peak(**streams):
+            tracemalloc.start()
+            try:
+                run_many(SQUARE, (1.0, 1.0), [1e-2], master_seed=3, count=count, threads=1,
+                         **streams)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        scalar = peak(context=7, start_index=0)
+        assert peak(context=context, start_index=start) <= scalar + 3 * 8 * count
 
 
 class TestStreams:
@@ -298,6 +340,60 @@ class TestWosWalk:
             assert err.value.max_steps == max_steps
 
 
+class TestPerWalkStreams:
+    """``run_many`` with ``context`` / ``start_index`` arrays, one value per
+    walk."""
+
+    @pytest.mark.parametrize("width", [5, 64, walk._WIDTH])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_step_limit_names_the_failing_rows_own_key(self, width, threads):
+        """Three walks of context 7 finish within the limit; the error
+        names the lowest failing walk of context 9, with its own index."""
+        segments = [(7, 101, 3), (9, 2 ** 64 - 300, 300)]
+        context, start = _per_walk(segments)
+        args = dict(master_seed=3, level=2, context=context, start_index=start, count=303)
+        ref = run_many(SQUARE, (1.0, 1.0), [1e-2], **args)
+        max_steps = int(ref.steps[-1, :3].max())
+        failing = np.flatnonzero(ref.steps[-1] > max_steps)
+        assert failing.size and failing[0] >= 3
+        with _width(width), pytest.raises(StepLimitExceeded) as err:
+            run_many(SQUARE, (1.0, 1.0), [1e-2], max_steps=max_steps, threads=threads, **args)
+        row = int(failing[0])
+        assert err.value.key == StreamKey(3, 9, 2, 2 ** 64 - 300 + row - 3)
+
+    def test_scalar_field_keeps_its_meaning(self):
+        """A scalar ``start_index`` next to a ``context`` array still numbers
+        walk ``i`` as ``start_index + i``, and the other way round."""
+        args = dict(master_seed=5, level=1)
+        mixed = run_many(SQUARE, (1.0, 1.0), [1e-2], context=[3, 3, 8], start_index=10,
+                         count=3, **args)
+        head = run_many(SQUARE, (1.0, 1.0), [1e-2], context=3, start_index=10, count=2, **args)
+        tail = run_many(SQUARE, (1.0, 1.0), [1e-2], context=8, start_index=12, **args)
+        np.testing.assert_array_equal(mixed.steps, np.concatenate([head.steps, tail.steps], 1))
+        np.testing.assert_array_equal(mixed.stops, np.concatenate([head.stops, tail.stops], 1))
+        starts = run_many(SQUARE, (1.0, 1.0), [1e-2], context=3, start_index=[11, 10],
+                          count=2, **args)
+        np.testing.assert_array_equal(starts.steps[:, ::-1], head.steps)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("context", np.zeros(3, dtype=np.uint64), "1-D array of count=4"),
+            ("start_index", np.zeros(5, dtype=np.uint64), "1-D array of count=4"),
+            ("context", np.zeros((2, 2), dtype=np.uint64), "1-D array of count=4"),
+            ("start_index", np.zeros(4), "integers"),
+            ("context", np.full(4, 2 ** 32, dtype=np.uint64), "32 unsigned bits"),
+            ("context", np.array([0, 1, -1, 2]), "negative"),
+            ("start_index", np.array([0, 1, -1, 2]), "negative"),
+        ],
+        ids=["short", "long", "2-d", "float", "context-range", "negative-context",
+             "negative-index"],
+    )
+    def test_malformed_arrays_rejected(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            run_many(SQUARE, (1.0, 1.0), [1e-2], master_seed=0, count=4, **{field: value})
+
+
 class TestWalkInvariants:
     def test_step_size_exactness_and_containment(self):
         pts = run_many(SQUARE, (1.0, 1.0), [1e-3], master_seed=13, trace=True).trace
@@ -414,6 +510,32 @@ class TestEngineProperties:
                 np.testing.assert_array_equal(batch.stops[k], alone.stops[0])
                 np.testing.assert_array_equal(batch.steps[k], alone.steps[0])
         assert np.all(np.diff(batch.steps, axis=0) >= 0)
+
+    @PROPERTY
+    @given(case=CASES, fractions=FRACTIONS, segments=SEGMENTS,
+           width=st.sampled_from([1, 64, walk._WIDTH]), threads=st.sampled_from([1, 2, 3]),
+           seed=SEEDS)
+    def test_per_walk_streams_match_scalar_segments(
+        self, case, fractions, segments, width, threads, seed
+    ):
+        """One call with a context and a sample index per walk equals the
+        per-segment calls with scalar ones, concatenated, bit for bit."""
+        domain, x0 = case
+        thr = _thresholds(domain, x0, fractions)
+        segments = [(c, min(s, 2 ** 64 - n), n) for c, s, n in segments]
+        context, start = _per_walk(segments)
+        with _width(width):
+            fused = run_many(domain, x0, thr, master_seed=seed, level=4, context=context,
+                             start_index=start, count=context.size, threads=threads)
+        parts = [
+            run_many(domain, x0, thr, master_seed=seed, level=4, context=c, start_index=s,
+                     count=n)
+            for c, s, n in segments
+        ]
+        for field in ("stops", "exits", "steps"):
+            np.testing.assert_array_equal(
+                getattr(fused, field), np.concatenate([getattr(p, field) for p in parts], 1)
+            )
 
     @PROPERTY
     @given(case=CASES, fraction=st.floats(0.01, 0.9), index=st.integers(0, 2 ** 64 - 1),
