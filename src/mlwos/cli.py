@@ -35,9 +35,9 @@ _COMMANDS = ("solve", "study-variance", "study-pdiv", "study-workerr", "trace")
 
 # The RunConfig fields each command reads; ``solve`` also reads those of
 # its method. A field set by flag or config file that the command does not
-# read is a usage error, since the artifact's config echo would record a
-# value that shaped nothing. The execution-only ``threads`` and ``output``
-# are always accepted.
+# read is a usage error, since it would shape nothing; the artifact's config
+# echo records exactly these fields. The execution-only ``threads`` and
+# ``output`` are always accepted.
 _READS = {
     "solve": {"problem", "method", "eps_target", "seed", "format"},
     "study-variance": {"problem", "eps_target", "eta", "levels", "m", "seed", "reps", "format"},
@@ -69,19 +69,25 @@ class RunConfig:
     levels: int = 6
     radius: float = 0.2
 
+    def reads(self) -> set:
+        """The fields this command reads, ``solve``'s method's included;
+        the execution-only ``threads`` and ``output`` are not counted."""
+        if self.command == "solve":
+            return _READS["solve"] | _SOLVE_READS[self.method.upper()]
+        return _READS[self.command]
+
     def validate(self, given=()):
         """Check the values; ``given`` names the fields set by flag or
         config file, each of which the command must read."""
         if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        reads = _READS[self.command] | {"threads", "output"}
         where = self.command
         if self.command == "solve":
             method = self.method.upper()
             if method not in _SOLVE_READS:
                 raise ValueError(f"unknown method {self.method!r}; choose from {estimator.METHODS}")
-            reads = reads | _SOLVE_READS[method]
             where = f"solve with method {method}"
+        reads = self.reads() | {"threads", "output"}
         unread = sorted(_FLAGS.get(name, "--" + name) for name in set(given) - reads)
         if unread:
             raise ValueError(f"{where} does not read {', '.join(unread)}")
@@ -230,11 +236,12 @@ def _json_dump(obj) -> str:
 
 
 def _config_echo(config: RunConfig) -> dict:
-    # Audit trail of everything statistical; execution-only knobs (threads,
+    # Audit trail of the fields that shaped the artifact, and of the stream
+    # format its samples were drawn in. Execution-only knobs (threads,
     # output path) are omitted so artifacts stay identical across them.
-    echo = dataclasses.asdict(config)
-    for key in ("threads", "output"):
-        echo.pop(key, None)
+    reads = config.reads()
+    echo = {f.name: getattr(config, f.name) for f in dataclasses.fields(config) if f.name in reads}
+    echo["stream_format"] = walk.STREAM_FORMAT
     return echo
 
 
@@ -342,8 +349,11 @@ def _run_trace(config: RunConfig) -> str:
         problem.domain, problem.start, [config.eps_target], master_seed=config.seed, trace=True
     )
     value = float(problem.bc(batch.exits[0, 0]))
+    steps = int(batch.steps[0, 0])
+    summary = {"steps": steps, "exit_value": value, "config": _config_echo(config)}
     _write(config.output, walk.trace_csv(problem.domain, batch.trace))
-    return f"trace: {batch.steps[0, 0]} steps, exit value {value:.6f}, written to {config.output}"
+    _write(config.output + ".summary.json", _json_dump(summary))
+    return f"trace: {steps} steps, exit value {value:.6f}, written to {config.output}"
 
 
 _RUNNERS = {

@@ -9,11 +9,14 @@ function numpy's own ``Philox`` bit generator computes (see the tests), but
 random access by (key, counter) lets whole batches of paths draw their next
 jump direction in one array operation.
 
-Directions are unit vectors from normalized Box-Muller gaussian draws, so
-every path step consumes a fixed number of counter positions. Consequence:
-a walk's trajectory depends only on its key, never on thread count, batch
-membership, or execution order. So one engine call can run walks of many
-streams, each with its own context and sample index.
+Every path step consumes a fixed number of lanes (64-bit words) of its
+stream, the fewest its direction needs: one in 1-D and 2-D, two in 3-D
+(Archimedes' hat-box theorem), and from 4-D on the dimension rounded up to
+even, for normalized Box-Muller gaussians. This lane layout is stream
+format 2 (``STREAM_FORMAT``). Consequence: a walk's trajectory depends
+only on its key, never on thread count, batch membership, or execution
+order. So one engine call can run walks of many streams, each with its own
+context and sample index.
 
 The engine (``_walk_chunk``) runs a wavefront: a fixed-width set of walks
 in flight, advanced together, drawing their lanes in strides aligned to
@@ -36,6 +39,7 @@ import numpy as np
 from .geometry import Domain, as_point
 
 __all__ = [
+    "STREAM_FORMAT",
     "StreamKey",
     "BatchResult",
     "StepLimitExceeded",
@@ -44,6 +48,10 @@ __all__ = [
     "trace_csv",
     "DEFAULT_MAX_STEPS",
 ]
+
+# Version of the lane layout a walk reads from its stream; artifacts record
+# it, since every sample depends on it.
+STREAM_FORMAT = 2
 
 # A path this long means the stopping width is unreachable or the stream is
 # pathological; turning it into an error keeps hangs diagnosable.
@@ -78,6 +86,7 @@ _MUL_HI = _MUL >> _S32
 _MUL_LO = _MUL & _MASK32
 _S11 = np.array(11, dtype=np.uint64)
 _S16 = np.array(16, dtype=np.uint64)
+_S63 = np.array(63, dtype=np.uint64)
 _U64ONE = np.array(1, dtype=np.uint64)
 _U64MAX = 2 ** 64 - 1
 # Calls of at most this many blocks multiply by rows of their own shape;
@@ -88,7 +97,11 @@ _U64MAX = 2 ** 64 - 1
 _FULL_ROWS_MAX = 4096
 
 _INV53 = float(2.0 ** -53)
+_INV52 = float(2.0 ** -52)
 _TWOPI = 2.0 * math.pi
+# A lane's top 53 bits times this are 2 pi u bit for bit: scaling by a power
+# of two is exact, so one rounding happens either way.
+_ANGLE = _TWOPI * _INV53
 
 
 def _u64(value: int) -> np.uint64:
@@ -250,7 +263,7 @@ def _raw_lanes(k0, k1, words, first, blocks):
 
 
 def _lanes_to_normals(lanes, dim):
-    """Box-Muller gaussians for directions in ``dim`` dimensions, as a
+    """Box-Muller gaussians for directions in ``dim`` >= 4 dimensions, as a
     (dim, steps, rows) array.
 
     ``lanes`` is (steps * L, rows), ``L`` lanes per direction: step ``t`` of
@@ -276,34 +289,70 @@ def _lanes_to_normals(lanes, dim):
     cos, sin = out[0::2], out[1::2]
     np.cos(theta, out=cos)
     cos *= r
-    if dim > 1:
-        np.sin(theta[: dim // 2], out=sin)
-        sin *= r[: dim // 2]
+    np.sin(theta[: dim // 2], out=sin)
+    sin *= r[: dim // 2]
     return out
 
 
 def _lanes_per_direction(dim: int) -> int:
+    """Lanes a step's direction takes: one in 1-D and 2-D, two in 3-D, and
+    ``dim`` rounded up to even (Box-Muller pairs) from 4-D on."""
+    if dim <= 3:
+        return max(dim - 1, 1)
     return 2 * ((dim + 1) // 2)
 
 
 def _directions(dim, lanes):
     """Unit directions from ``lanes`` (steps * L, rows), returned as a
     (steps * rows, dim) view: direction ``t * rows + r`` is step ``t`` of
-    column ``r``. Its transpose is contiguous (dim, steps * rows)."""
-    g = _lanes_to_normals(lanes, dim).reshape(dim, -1)
-    n2 = g[0] * g[0]
-    for j in range(1, dim):
-        n2 += g[j] * g[j]
-    norm = np.sqrt(n2, out=n2)
-    # A zero gaussian vector has probability ~2^-53 per draw; fall back to
-    # the first axis deterministically rather than divide by zero.
-    degenerate = norm == 0.0
-    if degenerate.any():
-        g[:, degenerate] = 0.0
-        g[0, degenerate] = 1.0
-        norm[degenerate] = 1.0
-    g /= norm
-    return g.T
+    column ``r``. Its transpose is contiguous (dim, steps * rows).
+
+    With ``u`` a lane's top 53 bits times 2^-53, uniform on [0, 1): 1-D
+    takes the sign from the lane's top bit, 2-D the angle 2 pi u, and 3-D
+    z = 2u - 1 from a step's first lane and the azimuth 2 pi v from its
+    second, at radius sqrt(1 - z^2) about the z axis. The height of a
+    uniform point on the sphere is uniform on [-1, 1] and independent of
+    its azimuth (Archimedes' hat-box theorem; Marsaglia 1972). From 4-D on,
+    directions are normalized Box-Muller gaussians. In 1-D to 3-D,
+    ``lanes`` is overwritten; the directions are written straight into the
+    result.
+    """
+    if dim > 3:
+        g = _lanes_to_normals(lanes, dim).reshape(dim, -1)
+        n2 = g[0] * g[0]
+        for j in range(1, dim):
+            n2 += g[j] * g[j]
+        norm = np.sqrt(n2, out=n2)
+        # A zero gaussian vector has probability ~2^-53 per draw; fall back
+        # to the first axis deterministically rather than divide by zero.
+        degenerate = norm == 0.0
+        if degenerate.any():
+            g[:, degenerate] = 0.0
+            g[0, degenerate] = 1.0
+            norm[degenerate] = 1.0
+        g /= norm
+        return g.T
+    rows = lanes.shape[-1]
+    np.right_shift(lanes, _S63 if dim == 1 else _S11, out=lanes)
+    step_lanes = lanes.reshape(-1, _lanes_per_direction(dim), rows)
+    out = np.empty((dim, step_lanes.shape[0], rows))
+    if dim == 1:
+        np.multiply(step_lanes[:, 0], -2.0, out=out[0])
+        out[0] += 1.0
+    else:
+        # The angle is written where its sine goes.
+        np.multiply(step_lanes[:, -1], _ANGLE, out=out[1])
+        np.cos(out[1], out=out[0])
+        np.sin(out[1], out=out[1])
+    if dim == 3:
+        z = out[2]
+        np.multiply(step_lanes[:, 0], _INV52, out=z)
+        z -= 1.0
+        r = z * z
+        np.subtract(1.0, r, out=r)
+        np.sqrt(r, out=r)
+        out[:2] *= r
+    return out.reshape(dim, -1).T
 
 
 class StepLimitExceeded(RuntimeError):
@@ -352,12 +401,13 @@ def _walk_chunk(domain, x0, thr, streams, count, max_steps, stops, steps, trace=
 
     At most ``_WIDTH`` walks are in flight, in ascending row order. Each
     iteration draws lanes for every walk in flight in whole strides of
-    Philox blocks (two steps per block in 2-D), turns them into directions
-    in one call, then advances the walks one sub-step at a time: jump the
-    current boundary distance in the step's direction, record every
-    threshold crossed, drop walks past the last one. While rows are left,
-    an iteration draws one stride, and finished slots are refilled with the
-    next rows at the stride boundary. After that (the tail), draws cover
+    Philox blocks (four steps per block in 1-D and 2-D, two in 3-D, two
+    per three blocks in 5-D), turns them into directions in one call, then
+    advances the walks one sub-step at a time: jump the current boundary
+    distance in the step's direction, record every threshold crossed, drop
+    walks past the last one. While rows are left, an iteration draws one
+    stride, and finished slots are refilled with the next rows at the
+    stride boundary. After that (the tail), draws cover
     1, 2, 4, ... strides, capped so that walks times strides stays within
     the width. Every draw but a walk's last is used in full, and its last
     is at most one stride longer than all its earlier draws together, so
@@ -461,6 +511,9 @@ def _walk_chunk(domain, x0, thr, streams, count, max_steps, stops, steps, trace=
             live = keep if live is None else live[keep]
             if not idx.size:
                 break
+        # Freed before the next draw (``g`` may be a view of ``dirs``), which
+        # would otherwise peak beside them.
+        del dirs, g
 
 
 def run_many(
@@ -524,22 +577,21 @@ def run_many(
             level,
             start_index + lo if np.ndim(start_index) == 0 else start_index[lo:hi],
         )
-        return _walk_chunk(
+        history = _walk_chunk(
             domain, x0, thr, part, hi - lo, max_steps, stops[:, lo:hi], steps[:, lo:hi], trace
         )
+        # The range's exits are made once its walks are done, so they do not
+        # add to the walks' peak memory.
+        return history, np.stack([domain._proj(stops[k, lo:hi]) for k in range(nthr)])
 
-    history = None
     if parts > 1:
         with ThreadPoolExecutor(max_workers=parts) as pool:
             # Results are read in range order, so the lowest range's
             # StepLimitExceeded is the one raised.
-            list(pool.map(work, bounds[:-1], bounds[1:]))
+            ranges = list(pool.map(work, bounds[:-1], bounds[1:]))
+        history, exits = None, np.concatenate([e for _, e in ranges], axis=1)
     else:
-        history = work(0, count)
-
-    exits = np.empty_like(stops)
-    for k in range(nthr):
-        exits[k] = domain._proj(stops[k])
+        history, exits = work(0, count)
     return BatchResult(stops, exits, steps, np.stack(history) if trace else None)
 
 

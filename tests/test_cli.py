@@ -28,6 +28,31 @@ _UNREAD = {
 _SOLVE_CASES = [("meas", "--m"), ("mlwos", "--m"), ("wos", "--warmup"), ("mlwos", "--warmup")]
 
 
+# The RunConfig fields an artifact's config echo holds, by command and
+# ``solve`` method: those it reads, as in the README's flag table.
+_SOLVE_ECHO = {"problem", "method", "eps_target", "seed", "format"}
+_ECHOED = {
+    "wos": _SOLVE_ECHO | {"m"},
+    "meas": _SOLVE_ECHO | {"eta", "warmup"},
+    "mlwos": _SOLVE_ECHO | {"eta"},
+    "study-variance": {"problem", "eps_target", "eta", "levels", "m", "seed", "reps", "format"},
+    "study-pdiv": {"problem", "eps_list", "radius", "m", "seed", "format"},
+    "study-workerr": {"problem", "method", "eps_list", "eta", "reps", "seed", "warmup", "format"},
+    "trace": {"problem", "eps_target", "seed"},
+}
+# A small run of each, on the square.
+_SMALL_RUNS = {
+    "wos": ["solve", "--method", "wos", "--m", "50", "--eps", "0.1"],
+    "meas": ["solve", "--method", "meas", "--eps", "0.1", "--warmup", "10"],
+    "mlwos": ["solve", "--method", "mlwos", "--eps", "0.1"],
+    "study-variance": ["study-variance", "--eps", "0.4", "--levels", "2", "--m", "100",
+                       "--reps", "2"],
+    "study-pdiv": ["study-pdiv", "--eps-list", "0.05", "--m", "2000"],
+    "study-workerr": ["study-workerr", "--method", "wos", "--eps-list", "0.1", "--reps", "5"],
+    "trace": ["trace", "--eps", "0.1"],
+}
+
+
 def run_cli(args, cwd, env):
     return subprocess.run(
         _PY + args, cwd=cwd, env=env, capture_output=True, text=True, timeout=600
@@ -264,6 +289,22 @@ class TestDeterminismAcrossThreads:
                 assert res.returncode == 0, res.stderr
                 outputs.append(out.read_bytes())
             assert outputs[0] == outputs[1], f"{name} differs across thread counts"
+
+
+class TestConfigEcho:
+    @pytest.mark.parametrize("case", sorted(_SMALL_RUNS))
+    def test_echo_holds_the_fields_read_and_the_stream_format(self, tmp_path, case):
+        """Defaults the command never reads are not echoed."""
+        argv = _SMALL_RUNS[case] + ["--problem", "square", "--threads", "1"]
+        out = tmp_path / "out"
+        if case == "trace":
+            assert main(argv + ["--output", str(out)]) == 0
+            doc = json.loads((tmp_path / "out.summary.json").read_text())
+        else:
+            assert main(argv + ["--format", "json", "--output", str(out)]) == 0
+            doc = json.loads(out.read_text())
+        assert set(doc["config"]) == _ECHOED[case] | {"stream_format"}
+        assert doc["config"]["stream_format"] == 2
 
 
 class TestTraceCommand:

@@ -13,12 +13,13 @@ from mlwos.walk import StepLimitExceeded, StreamKey, philox4x64, run_many, trace
 
 SQUARE = Square()
 
-# (domain, start) pairs covering every stride shape: 1-d and 2-d take two
-# steps per Philox block, 3-d one, 5-d two steps per three blocks.
+# (domain, start) pairs covering every stride shape: 1-d and 2-d take four
+# steps per Philox block, 3-d two, 4-d one, 5-d two steps per three blocks.
 CASES = st.sampled_from([
     (Ball(1), (0.3,)),
     (SQUARE, (0.7, 1.2)),
     (Hemisphere(), (0.2, 0.3, 0.1)),
+    (Ball(4), (0.3, 0.0, 0.1, 0.0)),
     (Ball(5), (0.3, 0.0, 0.1, 0.0, 0.0)),
 ])
 # Stopping widths as fractions of the start distance; the fixed values make
@@ -80,8 +81,9 @@ def _uniforms(lanes):
 
 
 def _stream_directions(dim, key, n):
-    """The first ``n`` (even) directions of stream ``key``, as (n, dim)."""
-    lanes = _lanes(key, n * walk._lanes_per_direction(dim) // 4)
+    """The first ``n`` directions of stream ``key``, as (n, dim)."""
+    lanes_per_step = walk._lanes_per_direction(dim)
+    lanes = _lanes(key, -(-n * lanes_per_step // 4))[:n * lanes_per_step]
     return walk._directions(dim, lanes[:, None])
 
 
@@ -163,6 +165,22 @@ class TestPhiloxKernel:
             tracemalloc.stop()
         assert peak <= 1700 * 1024
 
+    def test_traced_peak_of_a_full_width_planar_call(self):
+        """One 2-D ``run_many`` of 16384 walks, the engine's full width,
+        peaks at 3.01 MiB traced (in its first Philox draw), below 3.1 MiB.
+        Directions are written straight into their output, and a draw's
+        directions are freed before the next draw. A separate angle
+        temporary in ``_directions`` peaks at 3.19 MiB, keeping the last
+        draw's directions through the next draw at 3.57, and making the
+        exits before the walks at 3.26."""
+        tracemalloc.start()
+        try:
+            run_many(SQUARE, (1.0, 1.0), [1e-2], master_seed=3, count=walk._WIDTH, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.1 * 2 ** 20
+
     def test_traced_peak_of_per_walk_streams(self):
         """A full-width ``run_many`` with a context and a sample index per
         walk peaks at most three words per walk above the same call with
@@ -227,10 +245,18 @@ class TestStreams:
             StreamKey(0, level=2 ** 16)
 
     def test_normals_standardized(self):
-        z = walk._lanes_to_normals(_lanes(StreamKey(1), 50_000)[:, None], 2)
+        """Box-Muller normals, which directions from 4-D on normalize."""
+        z = walk._lanes_to_normals(_lanes(StreamKey(1), 50_000)[:, None], 4)
         assert z.size == 200_000
         assert abs(z.mean()) < 0.01
         assert abs(z.std() - 1.0) < 0.01
+
+
+def _chi2_uniform(values, lo, hi, bins=16):
+    """Pearson chi-square of ``values`` against the uniform law on [lo, hi]."""
+    counts, _ = np.histogram(values, bins=bins, range=(lo, hi))
+    expected = values.size / bins
+    return float(np.sum((counts - expected) ** 2 / expected))
 
 
 def _box_muller_reference(lanes):
@@ -246,8 +272,36 @@ def _box_muller_reference(lanes):
     return out
 
 
+def _lane_formula_reference(dim, lanes):
+    """Directions of 1-D to 3-D from one step's lanes, as (dim, rows): the
+    sign of the top bit; the angle 2 pi u; z = 2u - 1 and azimuth 2 pi v."""
+    u = (lanes >> np.uint64(11)) * 2.0 ** -53
+    if dim == 1:
+        return np.where(lanes[:1] >> np.uint64(63), -1.0, 1.0)
+    theta = 2.0 * np.pi * u[-1]
+    if dim == 2:
+        return np.stack([np.cos(theta), np.sin(theta)])
+    z = 2.0 * u[0] - 1.0
+    r = np.sqrt(1.0 - z * z)
+    return np.stack([r * np.cos(theta), r * np.sin(theta), z])
+
+
 class TestUniformDirection:
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_directions_match_lane_formulas(self, dim):
+        """Step ``t`` of column ``r`` is the direction of its own ``L`` lanes
+        by the formula of its dimension, bit for bit."""
+        lanes_per_step, steps, rows = walk._lanes_per_direction(dim), 5, 7
+        assert lanes_per_step == (1, 1, 2)[dim - 1]
+        rng = np.random.default_rng(dim)
+        lanes = rng.integers(0, 2 ** 64, (steps * lanes_per_step, rows), dtype=np.uint64)
+        got = walk._directions(dim, lanes.copy())
+        assert got.shape == (steps * rows, dim)
+        for t in range(steps):
+            ref = _lane_formula_reference(dim, lanes[t * lanes_per_step:(t + 1) * lanes_per_step])
+            np.testing.assert_array_equal(got[t * rows:(t + 1) * rows], ref.T)
+
+    @pytest.mark.parametrize("dim", [4, 5])
     def test_directions_match_box_muller_reference(self, dim):
         """Step ``t`` of column ``r`` is the normalized first ``dim``
         normals of its own ``L`` lanes, bit for bit, in odd dimensions too."""
@@ -282,10 +336,26 @@ class TestUniformDirection:
         n = 100_000
         dirs = _stream_directions(2, StreamKey(6), n)
         angles = np.arctan2(dirs[:, 1], dirs[:, 0])
-        counts, _ = np.histogram(angles, bins=16, range=(-np.pi, np.pi))
-        expected = n / 16
-        chi2 = float(np.sum((counts - expected) ** 2 / expected))
-        assert chi2 < 37.7  # 99.9% quantile, 15 dof
+        assert _chi2_uniform(angles, -np.pi, np.pi) < 37.7  # 99.9% quantile, 15 dof
+
+    def test_spatial_height_and_azimuth_uniform(self):
+        """On the unit sphere z is uniform on [-1, 1] and the azimuth on
+        [-pi, pi], each tested in 16 bins."""
+        n = 100_000
+        dirs = _stream_directions(3, StreamKey(10), n)
+        assert _chi2_uniform(dirs[:, 2], -1.0, 1.0) < 37.7  # 99.9% quantile, 15 dof
+        azimuth = np.arctan2(dirs[:, 1], dirs[:, 0])
+        assert _chi2_uniform(azimuth, -np.pi, np.pi) < 37.7
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_mean_zero_and_second_moments_isotropic(self, dim):
+        """Over 100k directions the mean is 0 and E[x x^T] = I / dim. Each
+        entry's standard error is at most 0.0032 (mean) and 0.0012
+        (second moments, dim >= 2)."""
+        n = 100_000
+        dirs = _stream_directions(dim, StreamKey(11, context=dim), n)
+        assert np.abs(dirs.mean(axis=0)).max() < 0.015
+        np.testing.assert_allclose(dirs.T @ dirs / n, np.eye(dim) / dim, rtol=0, atol=0.006)
 
     def test_rejects_zero_dimension(self):
         with pytest.raises(ValueError):
@@ -321,8 +391,8 @@ class TestWosWalk:
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_step_limit_reports_lowest_failing_sample(self, width, threads):
         """At full width the 300 walks enter at once and their draws cover
-        steps 1-2, 3-4, 5-8, 9-16 and 17-32: the limits 5 and 12 fall inside
-        grown draws, 16 on a draw boundary."""
+        steps 1-4, 5-12, 13-28 and 29-60: the limits 5 and 16 fall inside
+        grown draws, 12 on a draw boundary."""
         args = dict(master_seed=3, context=7, level=2, start_index=101, count=300)
         ref = run_many(SQUARE, (1.0, 1.0), [1e-2], **args)
         for max_steps in (5, 12, 16):
@@ -348,12 +418,22 @@ class TestPerWalkStreams:
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_step_limit_names_the_failing_rows_own_key(self, width, threads):
         """Three walks of context 7 finish within the limit; the error
-        names the lowest failing walk of context 9, with its own index."""
-        segments = [(7, 101, 3), (9, 2 ** 64 - 300, 300)]
-        context, start = _per_walk(segments)
-        args = dict(master_seed=3, level=2, context=context, start_index=start, count=303)
+        names the lowest failing walk of context 9, with its own index.
+
+        The limit is the median length of the 300 context-9 walks, so about
+        half of them exceed it, and the context-7 walks are the first three
+        of their context, from index 101 on, that finish within it."""
+        base = dict(master_seed=3, level=2)
+        tail = run_many(SQUARE, (1.0, 1.0), [1e-2], context=9, start_index=2 ** 64 - 300,
+                        count=300, **base)
+        max_steps = int(np.median(tail.steps[-1]))
+        pool = run_many(SQUARE, (1.0, 1.0), [1e-2], context=7, start_index=101, count=30, **base)
+        short = 101 + np.flatnonzero(pool.steps[-1] <= max_steps)[:3]
+        assert short.size == 3
+        context = np.repeat(_u64([7, 9]), [3, 300])
+        start = np.concatenate([_u64(short), _u64(2 ** 64 - 300) + np.arange(300, dtype=np.uint64)])
+        args = dict(context=context, start_index=start, count=303, **base)
         ref = run_many(SQUARE, (1.0, 1.0), [1e-2], **args)
-        max_steps = int(ref.steps[-1, :3].max())
         failing = np.flatnonzero(ref.steps[-1] > max_steps)
         assert failing.size and failing[0] >= 3
         with _width(width), pytest.raises(StepLimitExceeded) as err:
