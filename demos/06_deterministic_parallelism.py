@@ -9,7 +9,6 @@ or 8, and any single path can be replayed in isolation.
 import numpy as np
 
 from mlwos import (
-    DEFAULT_MAX_STEPS,
     adaptive_mlmc,
     get_problem,
     run_many,
@@ -31,9 +30,8 @@ assert len({rep.value for rep in reports}) == 1
 # the estimator's stream context, level 0 and the sample index
 rep, index = reports[0], 1_000
 assert index < rep.m[0]
-population, _ = sample_level(
-    problem, (rep.eps[0],), rep.m[0], seed=11, context=stream_context(0),
-    max_steps=DEFAULT_MAX_STEPS, threads=1,
+[(population, _)] = sample_level(
+    problem, (rep.eps[0],), [(stream_context(0), 0, rep.m[0])], seed=11, threads=1
 )
 assert population.mean() == rep.level_stats[0].mean  # the estimate's own samples
 one = run_many(

@@ -52,10 +52,11 @@ __all__ = [
 DEFAULT_WARMUP = 100
 _PILOT_SAMPLES = 100
 
-# Most walks in one run_many call that packs several replicas' draws; one
-# replica's draw above it stays a call of its own, with one context, so
-# full-width draws and thread splitting are as in a single run. Outputs do
-# not depend on it. It trades per-call overhead against peak memory. On the
+# Most walks in one run_many call that packs several segments of
+# ``sample_level`` (one per replica of ``_Levels`` or ``variance_study``); a
+# segment above it stays a call of its own, with one context, so full-width
+# draws and thread splitting are as in a single run. Outputs do not depend
+# on it. It trades per-call overhead against peak memory. On the
 # square-workerr benchmark (2 vCPU, 4 rotations of 38 s runs) against runs
 # one rep at a time (0.343 s op_s.p50, 40.65 MB peak_rss_mb), unlimited
 # packs ran at full width, 0.159 s and 44.40 MB (+9.2%, near the 10%
@@ -272,47 +273,53 @@ class EstimateReport:
         }
 
 
-def sample_level(
-    problem: Problem,
-    widths,
-    count: int,
-    *,
-    seed: int,
-    context: int,
-    level: int = 0,
-    start_index: int = 0,
-    max_steps: int,
-    threads: Optional[int],
-):
-    """Samples ``start_index`` to ``start_index + count - 1`` of one level,
-    drawn from the streams (``seed``, ``context``, ``level``).
+def sample_level(problem: Problem, widths, segments, *, seed: int, level: int = 0,
+                 threads: Optional[int] = None) -> list:
+    """One ``(values, steps)`` per ``(context, start_index, count)`` in
+    ``segments``: samples ``start_index`` to ``start_index + count - 1`` of
+    one level, drawn from the streams (``seed``, ``context``, ``level``).
 
     ``widths=(eps,)`` gives the boundary values at the walks' exits;
     ``widths=(coarse, fine)`` gives the coupled corrections
-    bc(fine exit) - bc(coarse exit). Returns ``(values, steps)``, with the
-    steps of the finest record in both cases. ``context`` is a whole stream
-    context word, as :func:`stream_context` makes. ``context`` and
-    ``start_index`` may also be per-walk arrays, as ``walk.run_many``
-    takes them.
+    bc(fine exit) - bc(coarse exit). ``steps`` are those of the finest
+    record in both cases. ``context`` is a whole stream context word, as
+    :func:`stream_context` makes.
+
+    Segments are packed, in order, into ``walk.run_many`` calls of at most
+    ``_PACK_WALKS`` walks; a segment larger than that is a call of its own.
+    A call of one segment takes its context and start index as ints, one
+    of several takes them as per-walk arrays. Each sample is a function of
+    its own stream, so the packing changes no value.
     """
     if len(widths) not in (1, 2):
         raise ValueError("widths must be (eps,) or (coarse, fine)")
-    batch = walk.run_many(
-        problem.domain,
-        problem.start,
-        widths,
-        master_seed=seed,
-        context=context,
-        level=level,
-        start_index=start_index,
-        count=count,
-        max_steps=max_steps,
-        threads=threads,
-    )
-    values = problem.bc(batch.exits[-1])
-    if len(widths) == 2:
-        values = values - problem.bc(batch.exits[0])
-    return values, batch.steps[-1]
+    packs, size = [], 0
+    for context, start, count in segments:
+        if count < 1:
+            raise ValueError("segment counts must be positive")
+        if not packs or size + count > _PACK_WALKS:
+            packs.append([])
+            size = 0
+        packs[-1].append((context, start, count))
+        size += count
+    out = []
+    for pack in packs:
+        counts = [n for _, _, n in pack]
+        if len(pack) == 1:
+            ((context, start, _),) = pack
+        else:
+            context = np.repeat(np.array([c for c, _, _ in pack], dtype=np.uint64), counts)
+            start = np.concatenate([np.arange(s, s + n, dtype=np.uint64) for _, s, n in pack])
+        batch = walk.run_many(
+            problem.domain, problem.start, widths, master_seed=seed, context=context,
+            level=level, start_index=start, count=sum(counts), threads=threads,
+        )
+        values = problem.bc(batch.exits[-1])
+        if len(widths) == 2:
+            values = values - problem.bc(batch.exits[0])
+        at = np.cumsum([0] + counts)
+        out += [(values[a:b], batch.steps[-1][a:b]) for a, b in zip(at[:-1], at[1:])]
+    return out
 
 
 class _Levels:
@@ -328,55 +335,26 @@ class _Levels:
     replicas, holds the same samples as one drawn at once.
     """
 
-    def __init__(self, problem, eps, seed, contexts, max_steps, threads):
+    def __init__(self, problem, eps, seed, contexts, threads):
         self.problem = problem
         self.eps = tuple(eps)
         self.contexts = list(contexts)
-        self.stream = dict(seed=seed, max_steps=max_steps, threads=threads)
+        self.stream = dict(seed=seed, threads=threads)
         self.values = [[np.empty(0)] * len(self.eps) for _ in self.contexts]
         self.steps = [[np.empty(0, dtype=np.int64)] * len(self.eps) for _ in self.contexts]
 
     def top_up(self, level: int, need):
         """Draw each replica's next samples of level ``level``, up to sample
-        ``need[r] - 1`` for replica ``r``.
-
-        The replicas' draws are packed, in replica order, into ``run_many``
-        calls of at most ``_PACK_WALKS`` walks; one replica's draw larger
-        than that is a call of its own.
-        """
-        packs, size = [], 0  # lists of (replica, first sample, count)
-        for r, n in enumerate(need):
-            have = self.values[r][level].size
-            if n <= have:
-                continue
-            if not packs or size + n - have > _PACK_WALKS:
-                packs.append([])
-                size = 0
-            packs[-1].append((r, have, n - have))
-            size += n - have
+        ``need[r] - 1`` for replica ``r``, in one :func:`sample_level` call
+        with a segment per replica that needs any."""
+        have = [values[level].size for values in self.values]
+        grow = [r for r, n in enumerate(need) if n > have[r]]
+        segments = [(self.contexts[r], have[r], need[r] - have[r]) for r in grow]
         widths = self.eps[max(level - 1, 0):level + 1]
-        for pack in packs:
-            count = sum(n for _, _, n in pack)
-            if len(pack) == 1:
-                ((r, have, _),) = pack
-                context, start = self.contexts[r], have
-            else:
-                context = np.repeat(
-                    np.array([self.contexts[r] for r, _, _ in pack], dtype=np.uint64),
-                    [n for _, _, n in pack],
-                )
-                start = np.concatenate(
-                    [np.arange(have, have + n, dtype=np.uint64) for _, have, n in pack]
-                )
-            v, s = sample_level(
-                self.problem, widths, count, context=context, level=level,
-                start_index=start, **self.stream,
-            )
-            at = 0
-            for r, _, n in pack:
-                self.values[r][level] = np.concatenate([self.values[r][level], v[at:at + n]])
-                self.steps[r][level] = np.concatenate([self.steps[r][level], s[at:at + n]])
-                at += n
+        drawn = sample_level(self.problem, widths, segments, level=level, **self.stream)
+        for r, (v, s) in zip(grow, drawn):
+            self.values[r][level] = np.concatenate([self.values[r][level], v])
+            self.steps[r][level] = np.concatenate([self.steps[r][level], s])
 
     def allocation(self, r: int) -> list:
         """Replica ``r``'s optimal counts at the finest width from each
@@ -415,11 +393,11 @@ def _words(bases, sub=_SUB_MAIN) -> list:
     return [stream_context(base, sub) for base in bases]
 
 
-def _wos(problem, eps, m, seed, bases, max_steps, threads) -> list:
+def _wos(problem, eps, m, seed, bases, threads) -> list:
     t0 = time.perf_counter()
     if m is not None and m < 2:
         raise ValueError("m must be at least 2")
-    levels = _Levels(problem, (eps,), seed, _words(bases), max_steps, threads)
+    levels = _Levels(problem, (eps,), seed, _words(bases), threads)
     levels.top_up(0, [m or _PILOT_SAMPLES] * len(bases))
     if m is None:
         levels.top_up(0, [
@@ -428,25 +406,25 @@ def _wos(problem, eps, m, seed, bases, max_steps, threads) -> list:
     return levels.reports(None, t0)
 
 
-def _mlmc(problem, ladder, ms, seed, bases, max_steps, threads) -> list:
+def _mlmc(problem, ladder, ms, seed, bases, threads) -> list:
     t0 = time.perf_counter()
     for m in ms:
         if len(m) != ladder.levels + 1:
             raise ValueError("need one sample count per level")
         if any(int(v) < 1 for v in m):
             raise ValueError("sample counts must be at least 1")
-    levels = _Levels(problem, ladder.eps, seed, _words(bases), max_steps, threads)
+    levels = _Levels(problem, ladder.eps, seed, _words(bases), threads)
     for level in range(ladder.levels + 1):
         levels.top_up(level, [int(m[level]) for m in ms])
     return levels.reports(ladder.eta, t0)
 
 
-def _meas(problem, eps_target, eta, warmup, seed, bases, max_steps, threads) -> list:
+def _meas(problem, eps_target, eta, warmup, seed, bases, threads) -> list:
     t0 = time.perf_counter()
     if warmup < 2:
         raise ValueError("warmup must be at least 2")
     ladder = default_ladder(problem, eps_target, eta)
-    levels = _Levels(problem, ladder.eps, seed, _words(bases), max_steps, threads)
+    levels = _Levels(problem, ladder.eps, seed, _words(bases), threads)
     nlev, reps = ladder.levels + 1, range(len(bases))
     for level in range(nlev):
         levels.top_up(level, [warmup] * len(bases))
@@ -465,16 +443,13 @@ def _meas(problem, eps_target, eta, warmup, seed, bases, max_steps, threads) -> 
 
 def _mlwos(problem, eps_target, eta, seed, bases, threads) -> list:
     ladder = default_ladder(problem, eps_target, eta)
-    pilot = _Levels(
-        problem, ladder.eps[:1], seed, _words(bases, _SUB_PILOT),
-        walk.DEFAULT_MAX_STEPS, threads,
-    )
+    pilot = _Levels(problem, ladder.eps[:1], seed, _words(bases, _SUB_PILOT), threads)
     pilot.top_up(0, [_PILOT_SAMPLES] * len(bases))
     ms = [
         model_allocation(float(np.var(v, ddof=1)), float(np.mean(s)), ladder)
         for (v,), (s,) in zip(pilot.values, pilot.steps)
     ]
-    reports = _mlmc(problem, ladder, ms, seed, bases, walk.DEFAULT_MAX_STEPS, threads)
+    reports = _mlmc(problem, ladder, ms, seed, bases, threads)
     for report, (s,) in zip(reports, pilot.steps):
         report.total_steps += int(np.sum(s))
     return reports
@@ -487,7 +462,6 @@ def mc_estimate(
     seed: int = 0,
     threads: Optional[int] = None,
     context: int = 0,
-    max_steps: int = walk.DEFAULT_MAX_STEPS,
 ) -> EstimateReport:
     """Plain Monte Carlo estimate at one stopping width.
 
@@ -495,7 +469,7 @@ def mc_estimate(
     ceil(variance / eps^2); the pilot samples are kept, never redrawn, so
     the final estimate matches an explicit call with the resulting count.
     """
-    return _wos(problem, eps, m, seed, [context], max_steps, threads)[0]
+    return _wos(problem, eps, m, seed, [context], threads)[0]
 
 
 def mlmc_estimate(
@@ -505,12 +479,11 @@ def mlmc_estimate(
     seed: int = 0,
     threads: Optional[int] = None,
     context: int = 0,
-    max_steps: int = walk.DEFAULT_MAX_STEPS,
 ) -> EstimateReport:
     """Multilevel estimate with ``m[l]`` samples on level ``l`` of
     ``ladder``: plain walks on level 0 plus independent coupled-pair
     corrections on each finer level."""
-    return _mlmc(problem, ladder, [m], seed, [context], max_steps, threads)[0]
+    return _mlmc(problem, ladder, [m], seed, [context], threads)[0]
 
 
 def adaptive_mlmc(
@@ -521,7 +494,6 @@ def adaptive_mlmc(
     seed: int = 0,
     threads: Optional[int] = None,
     context: int = 0,
-    max_steps: int = walk.DEFAULT_MAX_STEPS,
 ) -> EstimateReport:
     """Multilevel estimate with measured allocation.
 
@@ -531,9 +503,7 @@ def adaptive_mlmc(
     recomputed once from the enlarged sample and topped up again only where
     the requirement grew by more than 10%.
     """
-    return _meas(
-        problem, eps_target, eta, warmup, seed, [context], max_steps, threads
-    )[0]
+    return _meas(problem, eps_target, eta, warmup, seed, [context], threads)[0]
 
 
 def solve(
@@ -587,11 +557,9 @@ def solve_reps(
         raise ValueError("need at least one context")
     name = method.upper()
     if name == "WOS":
-        return _wos(problem, eps_target, m, seed, contexts, walk.DEFAULT_MAX_STEPS, threads)
+        return _wos(problem, eps_target, m, seed, contexts, threads)
     if name == "MEAS":
-        return _meas(
-            problem, eps_target, eta, warmup, seed, contexts, walk.DEFAULT_MAX_STEPS, threads
-        )
+        return _meas(problem, eps_target, eta, warmup, seed, contexts, threads)
     if name == "MLWOS":
         return _mlwos(problem, eps_target, eta, seed, contexts, threads)
     raise ValueError(f"unknown method {method!r}; choose from {METHODS}")

@@ -160,7 +160,9 @@ def variance_study(
     For each level l = 1..num_levels draws ``m_per_level`` fresh coupled
     pairs at widths (eps0/eta^(l-1), eps0/eta^l) and records the sample
     second-moment norm sqrt(mean(diff^2)). Norms are averaged over ``reps``
-    repeated calls before fitting the log-log slope against the fine width.
+    repeats, each from its own stream context, before fitting the log-log
+    slope against the fine width. One :func:`estimator.sample_level` call
+    per level draws every repeat's pairs.
     """
     if m_per_level < 100:
         raise ValueError("m_per_level must be at least 100")
@@ -174,19 +176,17 @@ def variance_study(
 
     rows = []
     sq_sums = np.zeros(num_levels)
-    for rep in range(reps):
-        for level in range(1, num_levels + 1):
-            cell = _CTX_VARIANCE | (rep * (num_levels + 1) + level)
-            diffs, steps = estimator.sample_level(
-                problem,
-                (eps[level - 1], eps[level]),
-                m_per_level,
-                seed=seed,
-                context=estimator.stream_context(cell),
-                level=level,
-                max_steps=walk.DEFAULT_MAX_STEPS,
-                threads=threads,
-            )
+    for level in range(1, num_levels + 1):
+        cells = [_CTX_VARIANCE | (rep * (num_levels + 1) + level) for rep in range(reps)]
+        drawn = estimator.sample_level(
+            problem,
+            (eps[level - 1], eps[level]),
+            [(estimator.stream_context(cell), 0, m_per_level) for cell in cells],
+            seed=seed,
+            level=level,
+            threads=threads,
+        )
+        for rep, (diffs, steps) in enumerate(drawn):
             msq = float(np.mean(diffs ** 2))
             sq_sums[level - 1] += msq
             rows.append(
@@ -199,7 +199,6 @@ def variance_study(
                     "rep": rep,
                 }
             )
-    rows.sort(key=lambda r: (r["level"], r["rep"]))
     norms = tuple(math.sqrt(s / reps) for s in sq_sums)
     degenerate = any(n == 0.0 for n in norms)
     fit = None if degenerate else fit_loglog(eps[1:], norms)

@@ -57,27 +57,29 @@ STREAM_FORMAT = 2
 # pathological; turning it into an error keeps hangs diagnosable.
 DEFAULT_MAX_STEPS = 10_000_000
 
-# Walks in flight per wavefront. A call's width, min(_WIDTH, count), also
-# caps a tail draw (one made when no samples are left to refill) at that
-# many strides summed over the walks in flight, so no draw holds more lanes
-# than the call's first stride. Outputs do not depend on it: each walk
-# draws only from its own stream and writes only its own output row. It
-# trades per-call numpy overhead and thread scaling against peak memory.
-# Wider means fewer numpy calls per walk step, and enough work in each for
-# threads to overlap between interpreter-lock handoffs; a call is split
-# across threads only when each thread gets a full width. Narrower means
-# smaller per-draw temporaries; the allocator keeps freed ones, so peak RSS
-# grows with the width. On a 2-core host, 2 threads at 8192 ran no faster
-# than 1; at 16384 they ran faster, for 2 MB more peak RSS (49 MB on the
-# 3-D MEAS benchmark workload).
+# Walks in flight per wavefront. It also caps a tail draw (one made when no
+# samples are left to refill) at that many strides summed over the walks in
+# flight, so no draw holds more lanes than one stride at full width.
+# Outputs do not depend on it: each walk draws only from its own stream and
+# writes only its own output row. It trades per-call numpy overhead and
+# thread scaling against peak memory. Wider means fewer numpy calls per
+# walk step, and enough work in each for threads to overlap between
+# interpreter-lock handoffs; a call is split across threads only when each
+# thread gets a full width. Narrower means smaller per-draw temporaries;
+# the allocator keeps freed ones, so peak RSS grows with the width. On a
+# 2-core host, 2 threads at 8192 ran no faster than 1; at 16384 they ran
+# faster, for 2 MB more peak RSS (49 MB on the 3-D MEAS benchmark workload).
 _WIDTH = 16384
 
 # Philox4x64-10 round multipliers of counter words 0 and 2, one row each, as
 # full 64-bit values and as 32-bit halves (the 128-bit products are built
-# from those), and the Weyl increments of key words 0 and 1.
+# from those), and round r's key offsets r * (W0, W1), the Weyl increments
+# of key words 0 and 1, wrapped to 64 bits.
 _MUL = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_WEYL_U64 = np.array(_WEYL, dtype=np.uint64)
+_ROUND_OFFSETS = np.array(
+    [[r * w % 2 ** 64 for w in (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)] for r in range(10)],
+    dtype=np.uint64,
+)
 # Shift and mask operands are 0-d arrays: a numpy scalar operand costs a
 # ufunc call about half a microsecond more.
 _MASK32 = np.array(0xFFFFFFFF, dtype=np.uint64)
@@ -88,7 +90,6 @@ _S11 = np.array(11, dtype=np.uint64)
 _S16 = np.array(16, dtype=np.uint64)
 _S63 = np.array(63, dtype=np.uint64)
 _U64ONE = np.array(1, dtype=np.uint64)
-_U64MAX = 2 ** 64 - 1
 # Calls of at most this many blocks multiply by rows of their own shape;
 # larger ones by the (2, 1) columns above. A broadcast column costs a
 # multiply about twice the time of a same-shape operand on a few hundred
@@ -123,12 +124,13 @@ def philox4x64(c0, c1, c2, c3, k0, k1):
     ``lo`` with its rows swapped, read only row by row, so no operand has
     a negative stride. ``lo`` and ``b`` trade buffers each round: every
     buffer is made once per call, and every operation writes with ``out=``.
-    Scalar key words' ten round keys are computed up front from Python
-    ints. Key words given as arrays (one key per row, broadcast against
-    the counters) are copied once and advanced in place each round, so no
-    (10, rows) table of round keys is made.
+    Key word ``k0`` is one value for all counters; its ten round keys take
+    one add. Key word ``k1`` is one value or one per row (broadcast against
+    the counters, as a (rows,) key against a (blocks, rows) grid); each
+    round's ``k1`` key is made into the free ``t`` buffer, so no (10, rows)
+    table of round keys is made.
     """
-    shape = np.broadcast_shapes(*(np.shape(v) for v in (c0, c1, c2, c3, k0, k1)))
+    shape = np.broadcast_shapes(*(np.shape(v) for v in (c0, c1, c2, c3, k1)))
     a = np.empty((2,) + shape, dtype=np.uint64)
     lo = np.empty_like(a)
     # ``lo`` holds b = (c1, c3) rows swapped, as every later round leaves it.
@@ -142,18 +144,10 @@ def philox4x64(c0, c1, c2, c3, k0, k1):
     spare, hi, t, w = (np.empty_like(a) for _ in range(4))
     a0, a1 = a
     hi0, hi1 = hi
-    row_keys = np.ndim(k0) or np.ndim(k1)
-    if row_keys:
-        # Copies advanced in place each round, XORed into the (c0, c2) rows
-        # viewed in the broadcast shape.
-        keys = [np.array(k, dtype=np.uint64) for k in (k0, k1)]
-        shaped = (a0.reshape(shape), a1.reshape(shape))
-    else:
-        k0, k1 = int(k0), int(k1)
-        keys = np.array(
-            [((k0 + r * _WEYL[0]) & _U64MAX, (k1 + r * _WEYL[1]) & _U64MAX) for r in range(10)],
-            dtype=np.uint64,
-        )
+    keys0 = _ROUND_OFFSETS[:, 0] + k0
+    # The c2 row in the broadcast shape, and the first elements of ``t`` in
+    # k1's shape, where each round's k1 key is made.
+    grid1, key1 = a1.reshape(shape), t.reshape(-1)[:np.size(k1)].reshape(np.shape(k1))
     for rnd in range(10):
         b1, b0 = lo
         lo, spare = spare, lo
@@ -176,13 +170,9 @@ def philox4x64(c0, c1, c2, c3, k0, k1):
         np.add(hi, w, out=hi)
         np.bitwise_xor(hi1, b0, out=a0)
         np.bitwise_xor(hi0, b1, out=a1)
-        if row_keys:
-            for row, key, inc in zip(shaped, keys, _WEYL_U64):
-                np.bitwise_xor(row, key, out=row)
-                np.add(key, inc, out=key)
-        else:
-            np.bitwise_xor(a0, keys[rnd, 0, ...], out=a0)
-            np.bitwise_xor(a1, keys[rnd, 1, ...], out=a1)
+        np.bitwise_xor(a0, keys0[rnd, ...], out=a0)
+        np.add(k1, _ROUND_OFFSETS[rnd, 1, ...], out=key1)
+        np.bitwise_xor(grid1, key1, out=grid1)
     return a0.reshape(shape), lo[1].reshape(shape), a1.reshape(shape), lo[0].reshape(shape)
 
 
@@ -212,12 +202,6 @@ class StreamKey:
             raise ValueError("sample_index must fit in 64 unsigned bits")
 
 
-def _key_words(master_seed: int, context: int, level: int):
-    # (master_seed, context, level) pack injectively into the 128-bit Philox
-    # key; the sample index occupies its own counter word.
-    return _u64(master_seed), _u64((context << 16) | level)
-
-
 def _stream_words(value, count: int, bits: int, name: str):
     """A stream field of ``run_many``: an int, or a 1-D array of ``count``
     integers below ``2 ** bits`` returned as uint64."""
@@ -236,13 +220,29 @@ def _stream_words(value, count: int, bits: int, name: str):
     return words
 
 
-def _row_key(streams, row: int) -> StreamKey:
-    """The stream key of row ``row`` of a wavefront's ``streams``."""
-    master_seed, context, level, start = streams
+def _stream_rows(streams, rows):
+    """Philox key word 1 and counter word 1 of the walks at call rows
+    ``rows`` (an int64 array) of ``streams``, (master_seed, context, level,
+    start), as ``run_many`` takes them.
+
+    Key word 0 is the master seed and word 1 packs the context with the
+    level, so (master_seed, context, level) map injectively into the
+    128-bit key; word 1 is one 0-d value for an int ``context``, else one
+    per row. The counter word is the sample index: ``start + rows`` for an
+    int ``start``, else ``start[rows]``.
+    """
+    _, context, level, start = streams
     if np.ndim(context):
-        context = int(context[row])
-    index = int(start[row]) if np.ndim(start) else start + row
-    return StreamKey(master_seed, context, level, index)
+        context = context[rows]
+    key = (np.asarray(context, dtype=np.uint64) << _S16) | _u64(level)
+    index = start[rows] if np.ndim(start) else _u64(start) + rows.astype(np.uint64)
+    return key, index
+
+
+def _row_key(streams, row: int) -> StreamKey:
+    """The stream key of call row ``row`` of ``streams``."""
+    key, index = _stream_rows(streams, np.array([row]))
+    return StreamKey(streams[0], int(np.ravel(key)[0]) >> 16, streams[2], int(index[0]))
 
 
 def _raw_lanes(k0, k1, words, first, blocks):
@@ -391,13 +391,15 @@ class BatchResult:
     trace: Optional[np.ndarray] = None
 
 
-def _walk_chunk(domain, x0, thr, streams, count, max_steps, stops, steps, trace=False):
-    """Run ``count`` walks, rows 0 to ``count - 1``, as one wavefront.
+def _walk_chunk(domain, x0, thr, streams, count, max_steps, stops, steps, lo=0, trace=False):
+    """Run the ``count`` walks of call rows ``lo`` to ``lo + count - 1`` as
+    one wavefront.
 
-    ``streams`` is (master_seed, context, level, start): row ``i`` draws
-    from the stream (master_seed, context, level, start + i), where a
-    ``context`` or ``start`` given as a uint64 array holds row ``i``'s own
-    value at [i] instead.
+    ``streams`` is ``run_many``'s (master_seed, context, level, start): row
+    ``i`` draws from the stream whose key words :func:`_stream_rows` makes,
+    (master_seed, context, level, start + i), or with row ``i``'s own value
+    at [i] of a ``context`` or ``start`` given as a uint64 array. The key
+    words are made for the walks in flight at each draw.
 
     At most ``_WIDTH`` walks are in flight, in ascending row order. Each
     iteration draws lanes for every walk in flight in whole strides of
@@ -407,70 +409,59 @@ def _walk_chunk(domain, x0, thr, streams, count, max_steps, stops, steps, trace=
     distance in the step's direction, record every threshold crossed, drop
     walks past the last one. While rows are left, an iteration draws one
     stride, and finished slots are refilled with the next rows at the
-    stride boundary. After that (the tail), draws cover
-    1, 2, 4, ... strides, capped so that walks times strides stays within
-    the width. Every draw but a walk's last is used in full, and its last
-    is at most one stride longer than all its earlier draws together, so
-    the lanes drawn stay below twice the lanes used plus one stride per
-    walk. Step ``t`` of every walk uses lanes ``t*L`` to ``(t+1)*L - 1`` of
-    its stream (``L`` lanes per direction). Walks enter and draw in whole
-    strides, so every draw starts on a block boundary.
+    stride boundary. After that (the tail), draws cover 1, 2, 4, ...
+    strides, capped so that walks times strides stays within ``_WIDTH``,
+    whatever the call's count: a lone walk's draws grow too. Every draw
+    but a walk's last is used in full, and its last is at most one stride
+    longer than all its earlier draws together, so the lanes drawn stay
+    below twice the lanes used plus one stride per walk. Step ``t`` of
+    every walk uses lanes ``t*L`` to ``(t+1)*L - 1`` of its stream (``L``
+    lanes per direction). Walks enter and draw in whole strides, so every
+    draw starts on a block boundary.
 
-    Row ``i`` writes column ``i`` of ``stops`` (nthr, count, dim) and
-    ``steps`` (nthr, count). With ``trace`` (one walk), returns its
+    Row ``i`` writes column ``i`` of the call's ``stops`` (nthr, rows, dim)
+    and ``steps`` (nthr, rows). With ``trace`` (one walk), returns its
     position after every step, the start included.
     """
     dim = domain.dim
     nthr = thr.size
     lanes_per_step = _lanes_per_direction(dim)
     stride = math.lcm(lanes_per_step, 4) // lanes_per_step
-    master_seed, context, level, start = streams
-    # A row's Philox key word 1 packs its context with the level. For
-    # per-row contexts (``k1`` is then the level alone) it is made at
-    # refill, for the entering rows only, and kept for the walks in flight.
-    row_keys = np.ndim(context) > 0
-    k0, k1 = _key_words(master_seed, 0 if row_keys else context, level)
-    row_starts = np.ndim(start) > 0
-    first = start if row_starts else _u64(start)
+    k0 = _u64(streams[0])
     d0 = max(float(domain._dist(x0[None, :])[0]), 0.0)
     # A walk past its last threshold compares against -inf: no more hits.
     thr_next = np.append(thr, -np.inf)
-    width = min(_WIDTH, count)
 
     # One entry per walk in flight, in ascending row order; positions are
     # stored coordinate-major, (dim, walks), so every numpy call runs along
     # the walks.
-    idx = np.empty(0, dtype=np.int64)  # output column
+    idx = np.empty(0, dtype=np.int64)  # call row
     pos = np.empty((dim, 0))
     dist = np.empty(0)
     entry = np.empty(0, dtype=np.int64)  # value of ``now`` when it started
     ptr = np.empty(0, dtype=np.int64)  # thresholds crossed
-    keys = np.empty(0, dtype=np.uint64)  # key word 1, with per-row contexts
     now = 0  # sub-steps taken by the wavefront
     history = [x0.copy()] if trace else None
     filled = 0
     reach = 1  # strides in the next draw once no rows are left to refill
     while True:
-        new = min(width - idx.size, count - filled)
+        new = min(_WIDTH - idx.size, count - filled)
         if new:
-            idx = np.concatenate([idx, np.arange(filled, filled + new)])
+            idx = np.concatenate([idx, np.arange(lo + filled, lo + filled + new)])
             pos = np.concatenate([pos, np.broadcast_to(x0[:, None], (dim, new))], axis=1)
             dist = np.concatenate([dist, np.full(new, d0)])
             entry = np.concatenate([entry, np.full(new, now)])
             ptr = np.concatenate([ptr, np.zeros(new, dtype=np.int64)])
-            if row_keys:
-                keys = np.concatenate([keys, (context[filled:filled + new] << _S16) | k1])
             filled += new
         if not idx.size:
             return history
         nsub = stride
         if filled == count:
-            reach = min(reach, width // idx.size)
+            reach = min(reach, _WIDTH // idx.size)
             nsub *= reach
             reach *= 2
         lanes = _raw_lanes(
-            k0, keys if row_keys else k1,
-            first[idx] if row_starts else first + idx.astype(np.uint64),
+            k0, *_stream_rows(streams, idx),
             (now - entry) * lanes_per_step // 4, nsub * lanes_per_step // 4,
         )
         # (dim, sub-step, column of this draw); the lanes are not kept.
@@ -506,8 +497,6 @@ def _walk_chunk(domain, x0, thr, streams, count, max_steps, stops, steps, trace=
                 continue
             idx, dist, entry, ptr = idx[keep], dist[keep], entry[keep], ptr[keep]
             pos = pos.take(keep, axis=1)
-            if row_keys:
-                keys = keys[keep]
             live = keep if live is None else live[keep]
             if not idx.size:
                 break
@@ -561,7 +550,13 @@ def run_many(
         raise ValueError("trace records one walk; count must be 1")
     context = _stream_words(context, count, 32, "context")
     start_index = _stream_words(start_index, count, 64, "start_index")
-    _row_key((master_seed, context, level, start_index), count - 1)  # range check
+    # Range check of the int fields; an int start_index counts up to the
+    # last walk's index.
+    StreamKey(
+        master_seed, 0 if np.ndim(context) else context, level,
+        0 if np.ndim(start_index) else start_index + count - 1,
+    )
+    streams = (master_seed, context, level, start_index)
     threads = resolve_threads(threads)
 
     nthr = thr.size
@@ -571,14 +566,8 @@ def run_many(
     bounds = [count * i // parts for i in range(parts + 1)]
 
     def work(lo, hi):
-        part = (
-            master_seed,
-            context if np.ndim(context) == 0 else context[lo:hi],
-            level,
-            start_index + lo if np.ndim(start_index) == 0 else start_index[lo:hi],
-        )
         history = _walk_chunk(
-            domain, x0, thr, part, hi - lo, max_steps, stops[:, lo:hi], steps[:, lo:hi], trace
+            domain, x0, thr, streams, hi - lo, max_steps, stops, steps, lo, trace
         )
         # The range's exits are made once its walks are done, so they do not
         # add to the walks' peak memory.

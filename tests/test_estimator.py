@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 from unittest import mock
@@ -27,7 +28,7 @@ from mlwos.estimator import (
     stream_context,
 )
 from mlwos.geometry import ball_problem, get_problem, hemisphere_problem, square_problem
-from mlwos.walk import DEFAULT_MAX_STEPS, StepLimitExceeded, resolve_threads, run_many
+from mlwos.walk import StepLimitExceeded, resolve_threads, run_many
 
 SQUARE = square_problem()
 HEMI = hemisphere_problem()
@@ -272,10 +273,11 @@ class TestMlmcEstimate:
         assert rep.stat_error == pytest.approx(expected, rel=1e-12)
         assert rep.value == pytest.approx(sum(st.mean for st in rep.level_stats), rel=1e-12)
 
-    def test_propagates_step_limit(self):
+    def test_propagates_step_limit(self, monkeypatch):
+        monkeypatch.setattr(walk, "run_many", functools.partial(run_many, max_steps=2))
         lad = default_ladder(SQUARE, 1e-4, 16.0)
         with pytest.raises(StepLimitExceeded):
-            mlmc_estimate(SQUARE, lad, [50] * (lad.levels + 1), seed=0, threads=1, max_steps=2)
+            mlmc_estimate(SQUARE, lad, [50] * (lad.levels + 1), seed=0, threads=1)
 
     @pytest.mark.parametrize("m", [(100,), (100, 100, 100), (100, 0)], ids=["short", "long", "zero"])
     def test_rejects_bad_counts(self, m):
@@ -338,10 +340,8 @@ class TestSampleLevel:
 
     def _level(self, widths):
         ctx = stream_context(5)
-        values, steps = sample_level(
-            self.X1, widths, 300, seed=3, context=ctx, level=2, start_index=40,
-            max_steps=DEFAULT_MAX_STEPS, threads=1,
-        )
+        [(values, steps)] = sample_level(self.X1, widths, [(ctx, 40, 300)], seed=3, level=2,
+                                         threads=1)
         batch = run_many(
             self.X1.domain, self.X1.start, widths, master_seed=3, context=ctx, level=2,
             start_index=40, count=300, threads=1,
@@ -359,6 +359,32 @@ class TestSampleLevel:
         np.testing.assert_array_equal(
             values, self.X1.bc(batch.exits[1]) - self.X1.bc(batch.exits[0])
         )
+
+    @pytest.mark.parametrize("pack", [1, 50, 8192])
+    @pytest.mark.parametrize("widths", [(0.1,), (0.1, 0.01)], ids=["plain", "pair"])
+    def test_segments_match_a_call_each(self, widths, pack, monkeypatch):
+        """Segments packed into calls of at most ``pack`` walks, in one
+        call, in several or one by one, give each segment's samples as a
+        ``run_many`` call of its own."""
+        segments = [(stream_context(9), 0, 30), (stream_context(2), 2 ** 64 - 20, 20),
+                    (stream_context(9), 30, 60), (stream_context(4), 7, 1)]
+        monkeypatch.setattr(estimator, "_PACK_WALKS", pack)
+        drawn = sample_level(self.X1, widths, segments, seed=6, level=1, threads=1)
+        assert len(drawn) == len(segments)
+        for (context, start, count), (values, steps) in zip(segments, drawn):
+            batch = run_many(
+                self.X1.domain, self.X1.start, widths, master_seed=6, context=context, level=1,
+                start_index=start, count=count, threads=1,
+            )
+            want = self.X1.bc(batch.exits[-1])
+            if len(widths) == 2:
+                want = want - self.X1.bc(batch.exits[0])
+            np.testing.assert_array_equal(values, want)
+            np.testing.assert_array_equal(steps, batch.steps[-1])
+
+    def test_rejects_empty_segment(self):
+        with pytest.raises(ValueError, match="positive"):
+            sample_level(self.X1, (0.1,), [(0, 0, 5), (0, 5, 0)], seed=0, threads=1)
 
 
 class TestLevels:
@@ -378,15 +404,14 @@ class TestLevels:
         from its own context, bit for bit."""
         contexts = [stream_context(9 + r) for r in range(len(counts))]
         with mock.patch.object(estimator, "_PACK_WALKS", pack):
-            levels = _Levels(self.X1, self.EPS, seed, contexts, DEFAULT_MAX_STEPS, 1)
+            levels = _Levels(self.X1, self.EPS, seed, contexts, 1)
             levels.top_up(level, [a for a, _ in counts])
             levels.top_up(level, [a + extra for a, extra in counts])
             levels.top_up(level, [a for a, _ in counts])  # already held: draws nothing
         for r, (ctx, (a, extra)) in enumerate(zip(contexts, counts)):
             b = a + extra
-            values, steps = sample_level(
-                self.X1, self.WIDTHS[level], b, seed=seed, context=ctx, level=level,
-                max_steps=DEFAULT_MAX_STEPS, threads=1,
+            [(values, steps)] = sample_level(
+                self.X1, self.WIDTHS[level], [(ctx, 0, b)], seed=seed, level=level, threads=1
             )
             np.testing.assert_array_equal(levels.values[r][level], values)
             np.testing.assert_array_equal(levels.steps[r][level], steps)
@@ -455,9 +480,8 @@ class TestSolve:
         """A 100-sample pilot at the coarsest width on substream 1 anchors
         the s = 1/3, p = 2 polylog model; its steps count in the work."""
         ladder = default_ladder(SQUARE, 0.02, 4.0)
-        pilot_v, pilot_s = sample_level(
-            SQUARE, ladder.eps[:1], 100, seed=4, context=stream_context(6, 1),
-            max_steps=DEFAULT_MAX_STEPS, threads=1,
+        [(pilot_v, pilot_s)] = sample_level(
+            SQUARE, ladder.eps[:1], [(stream_context(6, 1), 0, 100)], seed=4, threads=1
         )
         m = model_allocation(float(np.var(pilot_v, ddof=1)), float(np.mean(pilot_s)), ladder)
         want = mlmc_estimate(SQUARE, ladder, m, seed=4, threads=1, context=6)

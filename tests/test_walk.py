@@ -68,10 +68,17 @@ def _per_walk(segments):
     return context, start
 
 
+def _key_words(master_seed, context, level):
+    """Philox key words 0 and 1 of the streams (master_seed, context,
+    level, ·), as the engine makes them."""
+    k1, _ = walk._stream_rows((master_seed, context, level, 0), np.zeros(1, dtype=np.int64))
+    return walk._u64(master_seed), k1
+
+
 def _lanes(key, blocks, first=0):
     """Lanes of Philox blocks ``first`` to ``first + blocks - 1`` of stream
     ``key``, as a (4 * blocks,) array."""
-    k0, k1 = walk._key_words(key.master_seed, key.context, key.level)
+    k0, k1 = _key_words(key.master_seed, key.context, key.level)
     word = np.array([key.sample_index], dtype=np.uint64)
     return walk._raw_lanes(k0, k1, word, first, blocks)[:, 0]
 
@@ -118,35 +125,42 @@ class TestPhiloxKernel:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        layout=st.sampled_from(["one", "rows", "columns", "grid", "broadcast"]),
-        key=st.tuples(SEEDS, SEEDS),
+        layout=st.sampled_from(
+            ["one", "rows", "columns", "grid", "broadcast", "row-keys", "row-key-columns"]
+        ),
+        k0=SEEDS,
         seed=SEEDS,
     )
-    def test_matches_numpy_block_by_block(self, layout, key, seed):
+    def test_matches_numpy_block_by_block(self, layout, k0, seed):
         """Random keys and counters with all four words nonzero, on both
-        sides of the switch from same-shape multiplier rows to columns."""
+        sides of the switch from same-shape multiplier rows to columns, with
+        key word 1 one value or one per row of a (blocks, rows) grid."""
         rng = np.random.default_rng(seed)
 
         def words(shape):
             return rng.integers(1, 2 ** 64, size=shape, dtype=np.uint64, endpoint=False)
 
         n = walk._FULL_ROWS_MAX
+        # The shapes of c0, c1, c2, c3 and k1.
         shapes = {
-            "one": [(1,)] * 4,
-            "rows": [(n,)] * 4,
-            "columns": [(n + 1,)] * 4,
-            "grid": [(3, 1), (5,), (5,), (5,)],  # (blocks, rows), as the engine draws
-            "broadcast": [(7,), (7,), (), ()],  # scalar c2, c3
+            "one": [(1,)] * 4 + [()],
+            "rows": [(n,)] * 4 + [()],
+            "columns": [(n + 1,)] * 4 + [()],
+            "grid": [(3, 1), (5,), (5,), (5,), ()],  # (blocks, rows), as the engine draws
+            "broadcast": [(7,), (7,), (), (), ()],  # scalar c2, c3
+            # A key per row on a (2, rows) grid of n and of n + 2 blocks.
+            "row-keys": [(2, 1), (n // 2,), (), (), (n // 2,)],
+            "row-key-columns": [(2, 1), (n // 2 + 1,), (), (), (n // 2 + 1,)],
         }[layout]
-        ctr = [words(shape) for shape in shapes]
-        out = philox4x64(*ctr, _u64(key[0]), _u64(key[1]))
-        full = np.broadcast_arrays(*ctr)
+        *ctr, k1 = [words(shape) for shape in shapes]
+        out = philox4x64(*ctr, _u64(k0), k1)
+        *full, k1 = np.broadcast_arrays(*ctr, k1)
         assert all(o.shape == full[0].shape for o in out)
         for i in np.ndindex(full[0].shape):
             # numpy's Philox increments its counter before each block, and
             # c0 >= 1 keeps the decrement here from borrowing from c1.
             c0, c1, c2, c3 = (int(c[i]) for c in full)
-            ref = np.random.Philox(counter=_u64([c0 - 1, c1, c2, c3]), key=_u64(key))
+            ref = np.random.Philox(counter=_u64([c0 - 1, c1, c2, c3]), key=_u64([k0, k1[i]]))
             assert [int(o[i]) for o in out] == [int(v) for v in ref.random_raw(4)]
 
     def test_traced_peak_at_full_width(self):
@@ -154,7 +168,7 @@ class TestPhiloxKernel:
         holds the (2, rows) state and four round buffers at most: the same
         traced peak as before the buffers were made once per call. It fails
         if full-width multiplier rows or more round buffers are added."""
-        k0, k1 = walk._key_words(3, 5, 1)
+        k0, k1 = _key_words(3, 5, 1)
         words = np.arange(16384, dtype=np.uint64)
         first = np.zeros(16384, dtype=np.int64)
         tracemalloc.start()
@@ -183,10 +197,11 @@ class TestPhiloxKernel:
 
     def test_traced_peak_of_per_walk_streams(self):
         """A full-width ``run_many`` with a context and a sample index per
-        walk peaks at most three words per walk above the same call with
-        scalar ones (1.6 measured): key words are made at refill for the
-        walks entering, and Philox advances one row key in place. A
-        (10, rows) table of round keys adds 11.6."""
+        walk peaks at most two words per walk above the same call with
+        scalar ones (1.0 measured): the key and counter words of the walks
+        in flight are made at each draw, and Philox makes each round's row
+        keys in a buffer it already holds. A (10, rows) table of round keys
+        adds 11.6."""
         count = walk._WIDTH
         context, start = _per_walk(
             [(c, 2 ** 64 - count, count // 4) for c in (7, 1007, 2007, 3007)]
@@ -203,7 +218,7 @@ class TestPhiloxKernel:
                 tracemalloc.stop()
 
         scalar = peak(context=7, start_index=0)
-        assert peak(context=context, start_index=start) <= scalar + 3 * 8 * count
+        assert peak(context=context, start_index=start) <= scalar + 2 * 8 * count
 
 
 class TestStreams:
@@ -214,7 +229,7 @@ class TestStreams:
         np.testing.assert_array_equal(_lanes(key, 250), _lanes(key, 250))
 
     def test_adjacent_sample_indices_uncorrelated(self):
-        k0, k1 = walk._key_words(5, 0, 0)
+        k0, k1 = _key_words(5, 0, 0)
         words = np.array([100, 101], dtype=np.uint64)
         u = _uniforms(walk._raw_lanes(k0, k1, words, 0, 2500))
         corr = np.corrcoef(u[:, 0], u[:, 1])[0, 1]
@@ -232,7 +247,7 @@ class TestStreams:
         whole = _lanes(key, 25)
         parts = np.concatenate([_lanes(key, n, first) for first, n in ((0, 1), (1, 9), (10, 15))])
         np.testing.assert_array_equal(whole, parts)
-        k0, k1 = walk._key_words(77, 0, 0)
+        k0, k1 = _key_words(77, 0, 0)
         rows = walk._raw_lanes(k0, k1, np.zeros(3, dtype=np.uint64), np.array([0, 10, 20]), 5)
         np.testing.assert_array_equal(rows.T, whole.reshape(5, 20)[[0, 2, 4]])
 
@@ -646,8 +661,9 @@ class TestEngineProperties:
 
 class TestTailLookahead:
     """Once a call has no samples left to refill, each draw covers twice the
-    strides of the one before, capped at the call's width in strides over
-    the walks in flight. Outputs must not depend on the draw sizes."""
+    strides of the one before, capped at ``_WIDTH`` strides summed over the
+    walks in flight, whatever the call's count. Outputs must not depend on
+    the draw sizes."""
 
     @pytest.mark.parametrize("count", [1, 2, 37, 300])
     @pytest.mark.parametrize(
@@ -709,12 +725,12 @@ class TestTailLookahead:
                 batch = run_many(domain, x0, [eps], master_seed=17, count=count)
             used = lanes * int(batch.steps[-1].sum())
             assert used <= 4 * sum(blocks) <= 2 * used + stride * lanes * count
-            assert 4 * max(blocks) <= min(width, count) * stride * lanes
+            assert 4 * max(blocks) <= width * stride * lanes
             if count <= width:
                 need = -(-batch.steps[-1] // stride)
                 want, done, reach = [], 0, 1
                 while rows := int(np.count_nonzero(need > done)):
-                    reach = min(reach, count // rows)
+                    reach = min(reach, width // rows)
                     want.append(rows * reach * stride * lanes // 4)
                     done += reach
                     reach *= 2
