@@ -57,11 +57,19 @@ _PILOT_SAMPLES = 100
 # segment above it stays a call of its own, with one context, so full-width
 # draws and thread splitting are as in a single run. Outputs do not depend
 # on it. It trades per-call overhead against peak memory. On the
-# square-workerr benchmark (2 vCPU, 4 rotations of 38 s runs) against runs
-# one rep at a time (0.343 s op_s.p50, 40.65 MB peak_rss_mb), unlimited
-# packs ran at full width, 0.159 s and 44.40 MB (+9.2%, near the 10%
-# bound); packs of at most 8192 walks gave 0.182 s and 42.11 MB (+3.6%).
+# square-workerr benchmark (2 vCPU, 4 rotations of 38 s runs, stream format
+# 1) against runs one rep at a time (0.343 s op_s.p50, 40.65 MB
+# peak_rss_mb), unlimited packs ran at full width, 0.159 s and 44.40 MB
+# (+9.2%, near the 10% bound); packs of at most 8192 walks gave 0.182 s and
+# 42.11 MB (+3.6%). At stream format 2, with exits made once per call, 4
+# alternated runs each gave 0.154 s and 42.09 MB for 8192 and 0.135 s and
+# 43.79 MB (+4.1%) unlimited.
 _PACK_WALKS = 8192
+
+# Exits per boundary-data call of ``sample_level``: boundary data is
+# row-wise, so the chunks change no value, and their temporaries stay the
+# size of the engine's per-draw ones (it holds 16384 walks in flight).
+_BC_ROWS = 16384
 
 METHODS = ("MEAS", "MLWOS", "WOS")
 
@@ -289,7 +297,8 @@ def sample_level(problem: Problem, widths, segments, *, seed: int, level: int = 
     ``_PACK_WALKS`` walks; a segment larger than that is a call of its own.
     A call of one segment takes its context and start index as ints, one
     of several takes them as per-walk arrays. Each sample is a function of
-    its own stream, so the packing changes no value.
+    its own stream, so the packing changes no value. Boundary data is read
+    ``_BC_ROWS`` exits at a time, into one array per call.
     """
     if len(widths) not in (1, 2):
         raise ValueError("widths must be (eps,) or (coarse, fine)")
@@ -314,11 +323,18 @@ def sample_level(problem: Problem, widths, segments, *, seed: int, level: int = 
             problem.domain, problem.start, widths, master_seed=seed, context=context,
             level=level, start_index=start, count=sum(counts), threads=threads,
         )
-        values = problem.bc(batch.exits[-1])
-        if len(widths) == 2:
-            values = values - problem.bc(batch.exits[0])
+        # Dropping the batch frees its stops before boundary data is read.
+        exits, steps = batch.exits, batch.steps[-1]
+        del batch
+        values = np.empty(steps.size)
+        for a in range(0, steps.size, _BC_ROWS):
+            rows = slice(a, a + _BC_ROWS)
+            values[rows] = problem.bc(exits[-1, rows])
+            if len(widths) == 2:
+                values[rows] -= problem.bc(exits[0, rows])
+        del exits  # not held through the next pack's call
         at = np.cumsum([0] + counts)
-        out += [(values[a:b], batch.steps[-1][a:b]) for a, b in zip(at[:-1], at[1:])]
+        out += [(values[a:b], steps[a:b]) for a, b in zip(at[:-1], at[1:])]
     return out
 
 

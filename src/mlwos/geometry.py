@@ -191,7 +191,10 @@ class BoundaryCondition:
     """Dirichlet data f on the boundary plus its Hoelder smoothness.
 
     ``evaluator`` maps an (n, dim) array of boundary points to n values.
-    ``holder_alpha`` is the Hoelder exponent in (0, 1].
+    It must be row-wise: value ``i`` depends on row ``i`` alone, bit for
+    bit, so evaluating the rows in chunks gives the same values as one call
+    (the level sampler relies on it). ``holder_alpha`` is the Hoelder
+    exponent in (0, 1].
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]

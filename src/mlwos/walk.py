@@ -68,7 +68,8 @@ DEFAULT_MAX_STEPS = 10_000_000
 # thread gets a full width. Narrower means smaller per-draw temporaries;
 # the allocator keeps freed ones, so peak RSS grows with the width. On a
 # 2-core host, 2 threads at 8192 ran no faster than 1; at 16384 they ran
-# faster, for 2 MB more peak RSS (49 MB on the 3-D MEAS benchmark workload).
+# faster, for 3 MB more peak RSS on the 3-D MEAS benchmark workload (46.3
+# against 43.3 MB, medians of 4 runs each at stream format 2).
 _WIDTH = 16384
 
 # Philox4x64-10 round multipliers of counter words 0 and 2, one row each, as
@@ -529,7 +530,9 @@ def run_many(
     order, so the output is bitwise reproducible for any ``threads``;
     ``None`` takes the default of :func:`resolve_threads`. With more than
     one thread the walks are split into contiguous ranges, one wavefront
-    each, but only into as many as hold a full ``_WIDTH`` of walks. One walk
+    each, but only into as many as hold a full ``_WIDTH`` of walks: the
+    calling thread runs the first range and a pool the others. Exits are
+    made after every range is done, ``_WIDTH`` rows at a time. One walk
     is ``count=1``; with ``trace=True`` (one walk only) the result's
     ``trace`` holds its (steps + 1, dim) positions, the start included.
     """
@@ -566,21 +569,25 @@ def run_many(
     bounds = [count * i // parts for i in range(parts + 1)]
 
     def work(lo, hi):
-        history = _walk_chunk(
-            domain, x0, thr, streams, hi - lo, max_steps, stops, steps, lo, trace
-        )
-        # The range's exits are made once its walks are done, so they do not
-        # add to the walks' peak memory.
-        return history, np.stack([domain._proj(stops[k, lo:hi]) for k in range(nthr)])
+        return _walk_chunk(domain, x0, thr, streams, hi - lo, max_steps, stops, steps, lo, trace)
 
     if parts > 1:
-        with ThreadPoolExecutor(max_workers=parts) as pool:
-            # Results are read in range order, so the lowest range's
-            # StepLimitExceeded is the one raised.
-            ranges = list(pool.map(work, bounds[:-1], bounds[1:]))
-        history, exits = None, np.concatenate([e for _, e in ranges], axis=1)
+        with ThreadPoolExecutor(max_workers=parts - 1) as pool:
+            rest = [pool.submit(work, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+            # If the first range raises, leaving the block waits for the
+            # workers; otherwise their results are read in range order. So
+            # the lowest range's StepLimitExceeded is the one raised.
+            history = work(0, bounds[1])
+        for part in rest:
+            part.result()
     else:
-        history, exits = work(0, count)
+        history = work(0, count)
+    # Exits are made once every walk is done, a width of rows at a time, so
+    # they add one (nthr, count, dim) array to the walks' peak memory.
+    exits = np.empty_like(stops)
+    for k in range(nthr):
+        for a in range(0, count, _WIDTH):
+            exits[k, a:a + _WIDTH] = domain._proj(stops[k, a:a + _WIDTH])
     return BatchResult(stops, exits, steps, np.stack(history) if trace else None)
 
 

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -20,3 +21,19 @@ def cli_env():
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = root + (os.pathsep + inherited if inherited else "")
     return env
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn)`` calls ``fn()`` and returns the peak bytes that
+    tracemalloc traced during the call."""
+
+    def measure(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return measure

@@ -386,6 +386,46 @@ class TestSampleLevel:
         with pytest.raises(ValueError, match="positive"):
             sample_level(self.X1, (0.1,), [(0, 0, 5), (0, 5, 0)], seed=0, threads=1)
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("widths", [(0.1,), (0.1, 0.01)], ids=["plain", "pair"])
+    def test_chunked_boundary_data_is_whole_array_data(self, widths, threads, monkeypatch):
+        """Boundary data read 7 exits at a time equals one call on all
+        exits, bit for bit, also when 300 walks at width 64 are split into
+        one range per thread."""
+        monkeypatch.setattr(estimator, "_BC_ROWS", 7)
+        monkeypatch.setattr(walk, "_WIDTH", 64)
+        ctx = stream_context(5)
+        [(values, _)] = sample_level(self.X1, widths, [(ctx, 40, 300)], seed=3, level=2,
+                                     threads=threads)
+        batch = run_many(
+            self.X1.domain, self.X1.start, widths, master_seed=3, context=ctx, level=2,
+            start_index=40, count=300, threads=1,
+        )
+        want = self.X1.bc(batch.exits[-1])
+        if len(widths) == 2:
+            want = want - self.X1.bc(batch.exits[0])
+        np.testing.assert_array_equal(values, want)
+
+    @pytest.mark.parametrize(
+        "problem, widths, bound",
+        [(square_problem(), (1e-3,), 48), (hemisphere_problem(), (0.016, 1e-3), 125)],
+        ids=["square-plain", "hemisphere-pair"],
+    )
+    def test_traced_peak_per_walk(self, problem, widths, bound, traced_peak):
+        """A level of 12 engine widths of walks on one thread peaks at most
+        ``bound`` traced bytes per walk: 43.3 measured on the square, 116.7
+        for hemisphere pairs. The stops, exits and steps (40 and 112 bytes
+        per walk) are the only full-size arrays held together: exits are
+        made once, a width of rows at a time, and the stops are freed before
+        boundary data is read in chunks. Stacking each range's exits and
+        concatenating the ranges peaks at 66.0 and 160.1."""
+        count = 12 * walk._WIDTH
+        peak = traced_peak(
+            lambda: sample_level(problem, widths, [(stream_context(1), 0, count)], seed=4,
+                                 threads=1)
+        )
+        assert peak / count <= bound
+
 
 class TestLevels:
     X1 = ball_problem(2, data="x1", start=(0.3, 0.2))

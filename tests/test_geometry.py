@@ -164,6 +164,19 @@ class TestBoundaryValues:
         with pytest.raises(ValueError):
             BoundaryCondition(lambda pts: pts[:, 0], holder_alpha=1.5)
 
+    @pytest.mark.parametrize("name", ["square", "hemisphere", "ball2", "ball3", "ball-x1"])
+    def test_data_is_row_wise(self, name):
+        """Boundary data on 10,000 boundary points read 7 rows at a time
+        gives the bits of one call, as the level sampler's chunks need."""
+        prob = ball_problem(3, data="x1") if name == "ball-x1" else get_problem(name)
+        domain = prob.domain
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(-1.0, 2.0, size=(300_000, domain.dim))
+        pts = domain._proj(pts[domain._dist(pts) > 0.0][:10_000])
+        assert len(pts) == 10_000
+        chunked = np.concatenate([prob.bc(pts[a:a + 7]) for a in range(0, len(pts), 7)])
+        np.testing.assert_array_equal(chunked, prob.bc(pts))
+
 
 class TestReferenceValues:
     def test_hemisphere_analytic(self):

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -54,6 +53,7 @@ def _width(width):
 
 def _assert_same(a, b):
     np.testing.assert_array_equal(a.stops, b.stops)
+    np.testing.assert_array_equal(a.exits, b.exits)
     np.testing.assert_array_equal(a.steps, b.steps)
 
 
@@ -163,7 +163,7 @@ class TestPhiloxKernel:
             ref = np.random.Philox(counter=_u64([c0 - 1, c1, c2, c3]), key=_u64([k0, k1[i]]))
             assert [int(o[i]) for o in out] == [int(v) for v in ref.random_raw(4)]
 
-    def test_traced_peak_at_full_width(self):
+    def test_traced_peak_at_full_width(self, traced_peak):
         """One draw of a block for 16384 rows, the engine's full width,
         holds the (2, rows) state and four round buffers at most: the same
         traced peak as before the buffers were made once per call. It fails
@@ -171,15 +171,9 @@ class TestPhiloxKernel:
         k0, k1 = _key_words(3, 5, 1)
         words = np.arange(16384, dtype=np.uint64)
         first = np.zeros(16384, dtype=np.int64)
-        tracemalloc.start()
-        try:
-            walk._raw_lanes(k0, k1, words, first, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1700 * 1024
+        assert traced_peak(lambda: walk._raw_lanes(k0, k1, words, first, 1)) <= 1700 * 1024
 
-    def test_traced_peak_of_a_full_width_planar_call(self):
+    def test_traced_peak_of_a_full_width_planar_call(self, traced_peak):
         """One 2-D ``run_many`` of 16384 walks, the engine's full width,
         peaks at 3.01 MiB traced (in its first Philox draw), below 3.1 MiB.
         Directions are written straight into their output, and a draw's
@@ -187,15 +181,13 @@ class TestPhiloxKernel:
         temporary in ``_directions`` peaks at 3.19 MiB, keeping the last
         draw's directions through the next draw at 3.57, and making the
         exits before the walks at 3.26."""
-        tracemalloc.start()
-        try:
-            run_many(SQUARE, (1.0, 1.0), [1e-2], master_seed=3, count=walk._WIDTH, threads=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(
+            lambda: run_many(SQUARE, (1.0, 1.0), [1e-2], master_seed=3, count=walk._WIDTH,
+                             threads=1)
+        )
         assert peak <= 3.1 * 2 ** 20
 
-    def test_traced_peak_of_per_walk_streams(self):
+    def test_traced_peak_of_per_walk_streams(self, traced_peak):
         """A full-width ``run_many`` with a context and a sample index per
         walk peaks at most two words per walk above the same call with
         scalar ones (1.0 measured): the key and counter words of the walks
@@ -209,13 +201,8 @@ class TestPhiloxKernel:
         start += _u64(np.arange(4).repeat(count // 4) * (count // 4))
 
         def peak(**streams):
-            tracemalloc.start()
-            try:
-                run_many(SQUARE, (1.0, 1.0), [1e-2], master_seed=3, count=count, threads=1,
-                         **streams)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: run_many(SQUARE, (1.0, 1.0), [1e-2], master_seed=3,
+                                                count=count, threads=1, **streams))
 
         scalar = peak(context=7, start_index=0)
         assert peak(context=context, start_index=start) <= scalar + 2 * 8 * count
@@ -407,22 +394,42 @@ class TestWosWalk:
     def test_step_limit_reports_lowest_failing_sample(self, width, threads):
         """At full width the 300 walks enter at once and their draws cover
         steps 1-4, 5-12, 13-28 and 29-60: the limits 5 and 16 fall inside
-        grown draws, 12 on a draw boundary."""
+        grown draws, 12 on a draw boundary.
+
+        Then no walk fails in rows 0-149, which hold range 0 of every split
+        (the calling thread's), so the error comes from a pool worker: the
+        lowest failing row lies in range 1 of a 2- or 3-way split, and range
+        2 of a 3-way split fails too."""
         args = dict(master_seed=3, context=7, level=2, start_index=101, count=300)
+
+        def raised(max_steps, **args):
+            with _width(width), pytest.raises(StepLimitExceeded) as err:
+                run_many(
+                    SQUARE, (1.0, 1.0), [1e-2], max_steps=max_steps, threads=threads, **args
+                )
+            assert (err.value.master_seed, err.value.context, err.value.level) == (3, 7, 2)
+            assert err.value.max_steps == max_steps
+            return err.value
+
         ref = run_many(SQUARE, (1.0, 1.0), [1e-2], **args)
         for max_steps in (5, 12, 16):
             failing = np.flatnonzero(ref.steps[-1] > max_steps)
             # Sample 0 finishes, and failures lie in every range of a 3-way split.
             assert failing[0] > 0
             assert np.array_equal(np.unique(failing // 100), [0, 1, 2])
-            with _width(width), pytest.raises(StepLimitExceeded) as err:
-                run_many(
-                    SQUARE, (1.0, 1.0), [1e-2], max_steps=max_steps, threads=threads, **args
-                )
-            assert err.value.key == StreamKey(3, 7, 2, 101 + int(failing[0]))
-            assert (err.value.master_seed, err.value.context, err.value.level) == (3, 7, 2)
-            assert err.value.sample_index == 101 + int(failing[0])
-            assert err.value.max_steps == max_steps
+            err = raised(max_steps, **args)
+            assert err.key == StreamKey(3, 7, 2, 101 + int(failing[0]))
+            assert err.sample_index == 101 + int(failing[0])
+
+        # Rows 0-149 are the first 150 walks of samples 0-999 that finish
+        # within 12 steps, rows 150-299 samples 1000-1149.
+        pool = run_many(SQUARE, (1.0, 1.0), [1e-2], **dict(args, start_index=0, count=1000))
+        start = np.concatenate([_u64(np.flatnonzero(pool.steps[-1] <= 12)[:150]),
+                                _u64(1000) + np.arange(150, dtype=np.uint64)])
+        args["start_index"] = start
+        failing = np.flatnonzero(run_many(SQUARE, (1.0, 1.0), [1e-2], **args).steps[-1] > 12)
+        assert 150 <= failing[0] < 200 <= failing[-1]
+        assert raised(12, **args).key == StreamKey(3, 7, 2, int(start[failing[0]]))
 
 
 class TestPerWalkStreams:
@@ -576,6 +583,24 @@ class TestEngineProperties:
             ]
         for other in runs[1:]:
             _assert_same(runs[0], other)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("count", [13, 193])
+    @pytest.mark.parametrize(
+        "domain, x0",
+        [(SQUARE, (0.7, 1.2)), (Hemisphere(), (0.2, 0.3, 0.1)),
+         (Ball(5), (0.3, 0.0, 0.1, 0.0, 0.0))],
+        ids=["square", "hemisphere", "ball5"],
+    )
+    def test_exits_are_projections_of_stops(self, domain, x0, count, threads):
+        """Exits, made after every range is done and a width of rows at a
+        time, are the projections of the stops, bit for bit, on counts that
+        are not a multiple of the width."""
+        thr = _thresholds(domain, x0, [0.3, 0.01])
+        with _width(5):
+            batch = run_many(domain, x0, thr, master_seed=11, count=count, threads=threads)
+        for k in range(len(thr)):
+            np.testing.assert_array_equal(batch.exits[k], domain._proj(batch.stops[k]))
 
     @PROPERTY
     @given(case=CASES, fractions=FRACTIONS, a=st.integers(1, 80), b=st.integers(1, 80),
