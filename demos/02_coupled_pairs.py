@@ -16,8 +16,8 @@ domain, bc = problem.domain, problem.bc
 pair = run_many(domain, problem.start, [0.1, 0.1 / 16], master_seed=42, count=1)
 coarse, fine = bc(pair.exits[:, 0])
 print("one pair, widths 0.1 -> 0.00625:")
-print(f"  coarse stop after {pair.steps[0, 0]} steps at {np.round(pair.stops[0, 0], 4)}")
-print(f"  fine   stop after {pair.steps[1, 0]} steps at {np.round(pair.stops[1, 0], 4)}")
+print(f"  coarse exit after {pair.steps[0, 0]} steps at {np.round(pair.exits[0, 0], 4)}")
+print(f"  fine   exit after {pair.steps[1, 0]} steps at {np.round(pair.exits[1, 0], 4)}")
 print(f"  boundary values {coarse:.4f} / {fine:.4f}, diff {fine - coarse:+.4f}")
 
 batch = run_many(domain, problem.start, [0.1, 0.1 / 16], master_seed=42, count=20_000)

@@ -18,6 +18,7 @@ for every replica at once, with the same results as separate runs.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -56,14 +57,10 @@ _PILOT_SAMPLES = 100
 # ``sample_level`` (one per replica of ``_Levels`` or ``variance_study``); a
 # segment above it stays a call of its own, with one context, so full-width
 # draws and thread splitting are as in a single run. Outputs do not depend
-# on it. It trades per-call overhead against peak memory. On the
-# square-workerr benchmark (2 vCPU, 4 rotations of 38 s runs, stream format
-# 1) against runs one rep at a time (0.343 s op_s.p50, 40.65 MB
-# peak_rss_mb), unlimited packs ran at full width, 0.159 s and 44.40 MB
-# (+9.2%, near the 10% bound); packs of at most 8192 walks gave 0.182 s and
-# 42.11 MB (+3.6%). At stream format 2, with exits made once per call, 4
-# alternated runs each gave 0.154 s and 42.09 MB for 8192 and 0.135 s and
-# 43.79 MB (+4.1%) unlimited.
+# on it. It trades per-call overhead against peak memory: on the
+# square-workerr benchmark (2 vCPU, 4 alternated 38 s runs each, stream
+# format 2), 8192 gave 0.154 s op_s.p50 and 42.09 MB peak_rss_mb, unlimited
+# packs 0.135 s and 43.79 MB.
 _PACK_WALKS = 8192
 
 # Exits per boundary-data call of ``sample_level``: boundary data is
@@ -89,6 +86,8 @@ def stream_context(base: int, sub: int = _SUB_MAIN) -> int:
     an estimator substream tag in the low four bits."""
     if not 0 <= base < 2 ** 28:
         raise ValueError("context must fit in 28 bits")
+    if not 0 <= sub < 16:
+        raise ValueError("substream tag must fit in 4 bits")
     return (base << 4) | sub
 
 
@@ -283,15 +282,15 @@ class EstimateReport:
 
 def sample_level(problem: Problem, widths, segments, *, seed: int, level: int = 0,
                  threads: Optional[int] = None) -> list:
-    """One ``(values, steps)`` per ``(context, start_index, count)`` in
+    """One ``(values, work)`` per ``(context, start_index, count)`` in
     ``segments``: samples ``start_index`` to ``start_index + count - 1`` of
     one level, drawn from the streams (``seed``, ``context``, ``level``).
 
     ``widths=(eps,)`` gives the boundary values at the walks' exits;
     ``widths=(coarse, fine)`` gives the coupled corrections
-    bc(fine exit) - bc(coarse exit). ``steps`` are those of the finest
-    record in both cases. ``context`` is a whole stream context word, as
-    :func:`stream_context` makes.
+    bc(fine exit) - bc(coarse exit). ``work`` is the int total of the
+    segment's steps to the finest record in both cases. ``context`` is a
+    whole stream context word, as :func:`stream_context` makes.
 
     Segments are packed, in order, into ``walk.run_many`` calls of at most
     ``_PACK_WALKS`` walks; a segment larger than that is a call of its own.
@@ -323,18 +322,18 @@ def sample_level(problem: Problem, widths, segments, *, seed: int, level: int = 
             problem.domain, problem.start, widths, master_seed=seed, context=context,
             level=level, start_index=start, count=sum(counts), threads=threads,
         )
-        # Dropping the batch frees its stops before boundary data is read.
-        exits, steps = batch.exits, batch.steps[-1]
+        at = np.cumsum([0] + counts)
+        # Only step totals are kept: the batch's steps are freed here.
+        exits, work = batch.exits, np.add.reduceat(batch.steps[-1], at[:-1]).tolist()
         del batch
-        values = np.empty(steps.size)
-        for a in range(0, steps.size, _BC_ROWS):
+        values = np.empty(at[-1])
+        for a in range(0, values.size, _BC_ROWS):
             rows = slice(a, a + _BC_ROWS)
             values[rows] = problem.bc(exits[-1, rows])
             if len(widths) == 2:
                 values[rows] -= problem.bc(exits[0, rows])
         del exits  # not held through the next pack's call
-        at = np.cumsum([0] + counts)
-        out += [(values[a:b], steps[a:b]) for a, b in zip(at[:-1], at[1:])]
+        out += [(values[a:b], w) for a, b, w in zip(at[:-1], at[1:], work)]
     return out
 
 
@@ -342,13 +341,14 @@ class _Levels:
     """Every level's samples drawn so far, for the widths ``eps``, of R
     replicas that run in lockstep, one per stream context word.
 
-    ``values[r][l]`` and ``steps[r][l]`` hold samples 0 to n - 1 of level
-    ``l`` of replica ``r``, from the streams (``seed``, ``contexts[r]``,
-    ``l``): plain boundary values at ``eps[0]`` on level 0, coupled
-    corrections between ``eps[l - 1]`` and ``eps[l]`` above. Samples are
-    only ever appended, and each is a function of its own stream, so a
-    level topped up in several steps, alone or together with other
-    replicas, holds the same samples as one drawn at once.
+    ``values[r][l]`` holds samples 0 to n - 1 of level ``l`` of replica
+    ``r``, from the streams (``seed``, ``contexts[r]``, ``l``): plain
+    boundary values at ``eps[0]`` on level 0, coupled corrections between
+    ``eps[l - 1]`` and ``eps[l]`` above. ``work[r][l]`` is the int total
+    of their steps. Samples are only ever appended, and each is a function
+    of its own stream, so a level topped up in several steps, alone or
+    together with other replicas, holds the same samples and work as one
+    drawn at once.
     """
 
     def __init__(self, problem, eps, seed, contexts, threads):
@@ -357,7 +357,7 @@ class _Levels:
         self.contexts = list(contexts)
         self.stream = dict(seed=seed, threads=threads)
         self.values = [[np.empty(0)] * len(self.eps) for _ in self.contexts]
-        self.steps = [[np.empty(0, dtype=np.int64)] * len(self.eps) for _ in self.contexts]
+        self.work = [[0] * len(self.eps) for _ in self.contexts]
 
     def top_up(self, level: int, need):
         """Draw each replica's next samples of level ``level``, up to sample
@@ -368,28 +368,33 @@ class _Levels:
         segments = [(self.contexts[r], have[r], need[r] - have[r]) for r in grow]
         widths = self.eps[max(level - 1, 0):level + 1]
         drawn = sample_level(self.problem, widths, segments, level=level, **self.stream)
-        for r, (v, s) in zip(grow, drawn):
+        for r, (v, w) in zip(grow, drawn):
             self.values[r][level] = np.concatenate([self.values[r][level], v])
-            self.steps[r][level] = np.concatenate([self.steps[r][level], s])
+            self.work[r][level] += w
+
+    def stats(self, r: int) -> list:
+        """Replica ``r``'s :class:`LevelStats`, one per level."""
+        out = []
+        for level, (v, w) in enumerate(zip(self.values[r], self.work[r])):
+            mean = float(np.mean(v))
+            m2 = float(np.sum((v - mean) ** 2))
+            out.append(LevelStats(level, v.size, mean, m2, w / v.size))
+        return out
 
     def allocation(self, r: int) -> list:
         """Replica ``r``'s optimal counts at the finest width from each
         level's measured variance and mean steps."""
-        v = [float(np.var(x, ddof=1)) for x in self.values[r]]
-        w = [float(np.mean(s)) for s in self.steps[r]]
-        return optimal_allocation(v, w, self.eps[-1])
+        stats = self.stats(r)
+        return optimal_allocation([st.variance for st in stats],
+                                  [st.mean_steps for st in stats], self.eps[-1])
 
     def reports(self, eta: Optional[float], t0: float) -> list:
         """One report per replica; each ``wall_time`` is the whole lockstep
         run's."""
         wall = time.perf_counter() - t0
         out = []
-        for values, steps in zip(self.values, self.steps):
-            stats = []
-            for level, (v, s) in enumerate(zip(values, steps)):
-                mean = float(np.mean(v))
-                m2 = float(np.sum((v - mean) ** 2))
-                stats.append(LevelStats(level, int(v.size), mean, m2, float(np.mean(s))))
+        for r, work in enumerate(self.work):
+            stats = self.stats(r)
             out.append(EstimateReport(
                 value=float(sum(st.mean for st in stats)),
                 eps_target=float(self.eps[-1]),
@@ -397,7 +402,7 @@ class _Levels:
                 eps=self.eps,
                 m=tuple(st.count for st in stats),
                 level_stats=stats,
-                total_steps=int(sum(int(s.sum()) for s in steps)),
+                total_steps=sum(work),
                 stat_error=math.sqrt(sum(st.variance / st.count for st in stats)),
                 seed=self.stream["seed"],
                 wall_time=wall,
@@ -416,9 +421,8 @@ def _wos(problem, eps, m, seed, bases, threads) -> list:
     levels = _Levels(problem, (eps,), seed, _words(bases), threads)
     levels.top_up(0, [m or _PILOT_SAMPLES] * len(bases))
     if m is None:
-        levels.top_up(0, [
-            auto_sample_count(float(np.var(values[0], ddof=1)), eps) for values in levels.values
-        ])
+        levels.top_up(0, [auto_sample_count(levels.stats(r)[0].variance, eps)
+                          for r in range(len(bases))])
     return levels.reports(None, t0)
 
 
@@ -427,8 +431,8 @@ def _mlmc(problem, ladder, ms, seed, bases, threads) -> list:
     for m in ms:
         if len(m) != ladder.levels + 1:
             raise ValueError("need one sample count per level")
-        if any(int(v) < 1 for v in m):
-            raise ValueError("sample counts must be at least 1")
+        if any(not isinstance(v, numbers.Integral) or v < 2 for v in m):
+            raise ValueError("sample counts must be integers of at least 2")
     levels = _Levels(problem, ladder.eps, seed, _words(bases), threads)
     for level in range(ladder.levels + 1):
         levels.top_up(level, [int(m[level]) for m in ms])
@@ -461,13 +465,11 @@ def _mlwos(problem, eps_target, eta, seed, bases, threads) -> list:
     ladder = default_ladder(problem, eps_target, eta)
     pilot = _Levels(problem, ladder.eps[:1], seed, _words(bases, _SUB_PILOT), threads)
     pilot.top_up(0, [_PILOT_SAMPLES] * len(bases))
-    ms = [
-        model_allocation(float(np.var(v, ddof=1)), float(np.mean(s)), ladder)
-        for (v,), (s,) in zip(pilot.values, pilot.steps)
-    ]
+    anchors = [pilot.stats(r)[0] for r in range(len(bases))]
+    ms = [model_allocation(st.variance, st.mean_steps, ladder) for st in anchors]
     reports = _mlmc(problem, ladder, ms, seed, bases, threads)
-    for report, (s,) in zip(reports, pilot.steps):
-        report.total_steps += int(np.sum(s))
+    for report, (work,) in zip(reports, pilot.work):
+        report.total_steps += work
     return reports
 
 

@@ -186,7 +186,7 @@ def variance_study(
             level=level,
             threads=threads,
         )
-        for rep, (diffs, steps) in enumerate(drawn):
+        for rep, (diffs, work) in enumerate(drawn):
             msq = float(np.mean(diffs ** 2))
             sq_sums[level - 1] += msq
             rows.append(
@@ -195,7 +195,7 @@ def variance_study(
                     "eps": eps[level],
                     "l2_norm": math.sqrt(msq),
                     "variance": float(np.var(diffs, ddof=1)),
-                    "mean_steps": float(np.mean(steps)),
+                    "mean_steps": work / m_per_level,
                     "rep": rep,
                 }
             )

@@ -381,12 +381,12 @@ class StepLimitExceeded(RuntimeError):
 class BatchResult:
     """Arrays for ``count`` walks recorded at each stopping width.
 
-    ``stops``/``exits`` have shape (num_thresholds, count, dim); ``steps``
-    has shape (num_thresholds, count). Row order is sample-index order.
-    A traced walk's positions, the start and every step, are ``trace``.
+    ``exits`` (num_thresholds, count, dim) project the walks' stops onto
+    the boundary; ``steps`` (num_thresholds, count) count the steps to them.
+    Row order is sample-index order. A traced walk's positions, the start
+    and every step, are ``trace``; its stop at width k is trace[steps[k]].
     """
 
-    stops: np.ndarray
     exits: np.ndarray
     steps: np.ndarray
     trace: Optional[np.ndarray] = None
@@ -531,8 +531,8 @@ def run_many(
     ``None`` takes the default of :func:`resolve_threads`. With more than
     one thread the walks are split into contiguous ranges, one wavefront
     each, but only into as many as hold a full ``_WIDTH`` of walks: the
-    calling thread runs the first range and a pool the others. Exits are
-    made after every range is done, ``_WIDTH`` rows at a time. One walk
+    calling thread runs the first range and a pool the others. Once every
+    range is done, the stops are projected to exits in place. One walk
     is ``count=1``; with ``trace=True`` (one walk only) the result's
     ``trace`` holds its (steps + 1, dim) positions, the start included.
     """
@@ -582,13 +582,11 @@ def run_many(
             part.result()
     else:
         history = work(0, count)
-    # Exits are made once every walk is done, a width of rows at a time, so
-    # they add one (nthr, count, dim) array to the walks' peak memory.
-    exits = np.empty_like(stops)
+    # A width of rows at a time, so projecting adds no full-size array.
     for k in range(nthr):
         for a in range(0, count, _WIDTH):
-            exits[k, a:a + _WIDTH] = domain._proj(stops[k, a:a + _WIDTH])
-    return BatchResult(stops, exits, steps, np.stack(history) if trace else None)
+            stops[k, a:a + _WIDTH] = domain._proj(stops[k, a:a + _WIDTH])
+    return BatchResult(stops, steps, np.stack(history) if trace else None)
 
 
 def resolve_threads(threads: Optional[int]) -> int:

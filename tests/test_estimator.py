@@ -173,6 +173,20 @@ class TestResolveThreads:
         assert resolve_threads(1) == 1
 
 
+class TestStreamContext:
+    def test_packs_base_and_substream_tag(self):
+        assert stream_context(5) == 80
+        assert stream_context(5, 15) == 95
+        assert stream_context(2 ** 28 - 1, 1) == 2 ** 32 - 15
+
+    @pytest.mark.parametrize("base, sub", [(5, 16), (5, -1), (2 ** 28, 0), (-1, 0)],
+                             ids=["tag-16", "tag-negative", "base-2^28", "base-negative"])
+    def test_rejects_out_of_range(self, base, sub):
+        """A tag of 16 would alias the next base's main substream."""
+        with pytest.raises(ValueError, match="4 bits|28 bits"):
+            stream_context(base, sub)
+
+
 class TestModelAllocation:
     def test_single_level_degenerates(self):
         lad = build_ladder(0.1, 2.0, 0.1)
@@ -279,10 +293,15 @@ class TestMlmcEstimate:
         with pytest.raises(StepLimitExceeded):
             mlmc_estimate(SQUARE, lad, [50] * (lad.levels + 1), seed=0, threads=1)
 
-    @pytest.mark.parametrize("m", [(100,), (100, 100, 100), (100, 0)], ids=["short", "long", "zero"])
+    @pytest.mark.parametrize(
+        "m", [(100,), (100, 100, 100), (100, 0), (100, 1), (100, 2.9)],
+        ids=["short", "long", "zero", "one", "fraction"],
+    )
     def test_rejects_bad_counts(self, m):
+        """One sample leaves a level's variance unmeasured; a fractional
+        count is not a sample count."""
         lad = Ladder(eta=2.0, eps=(0.1, 0.05))
-        with pytest.raises(ValueError, match="per level|at least 1"):
+        with pytest.raises(ValueError, match="per level|integers of at least 2"):
             mlmc_estimate(SQUARE, lad, m, threads=1)
 
 
@@ -340,14 +359,14 @@ class TestSampleLevel:
 
     def _level(self, widths):
         ctx = stream_context(5)
-        [(values, steps)] = sample_level(self.X1, widths, [(ctx, 40, 300)], seed=3, level=2,
-                                         threads=1)
+        [(values, work)] = sample_level(self.X1, widths, [(ctx, 40, 300)], seed=3, level=2,
+                                        threads=1)
         batch = run_many(
             self.X1.domain, self.X1.start, widths, master_seed=3, context=ctx, level=2,
             start_index=40, count=300, threads=1,
         )
         assert np.ptp(values) > 0.0
-        np.testing.assert_array_equal(steps, batch.steps[-1])
+        assert type(work) is int and work == batch.steps[-1].sum()
         return values, batch
 
     def test_plain_level_is_boundary_values(self):
@@ -371,7 +390,7 @@ class TestSampleLevel:
         monkeypatch.setattr(estimator, "_PACK_WALKS", pack)
         drawn = sample_level(self.X1, widths, segments, seed=6, level=1, threads=1)
         assert len(drawn) == len(segments)
-        for (context, start, count), (values, steps) in zip(segments, drawn):
+        for (context, start, count), (values, work) in zip(segments, drawn):
             batch = run_many(
                 self.X1.domain, self.X1.start, widths, master_seed=6, context=context, level=1,
                 start_index=start, count=count, threads=1,
@@ -380,7 +399,7 @@ class TestSampleLevel:
             if len(widths) == 2:
                 want = want - self.X1.bc(batch.exits[0])
             np.testing.assert_array_equal(values, want)
-            np.testing.assert_array_equal(steps, batch.steps[-1])
+            assert work == batch.steps[-1].sum()
 
     def test_rejects_empty_segment(self):
         with pytest.raises(ValueError, match="positive"):
@@ -408,17 +427,17 @@ class TestSampleLevel:
 
     @pytest.mark.parametrize(
         "problem, widths, bound",
-        [(square_problem(), (1e-3,), 48), (hemisphere_problem(), (0.016, 1e-3), 125)],
+        [(square_problem(), (1e-3,), 42), (hemisphere_problem(), (0.016, 1e-3), 85)],
         ids=["square-plain", "hemisphere-pair"],
     )
     def test_traced_peak_per_walk(self, problem, widths, bound, traced_peak):
         """A level of 12 engine widths of walks on one thread peaks at most
-        ``bound`` traced bytes per walk: 43.3 measured on the square, 116.7
-        for hemisphere pairs. The stops, exits and steps (40 and 112 bytes
-        per walk) are the only full-size arrays held together: exits are
-        made once, a width of rows at a time, and the stops are freed before
-        boundary data is read in chunks. Stacking each range's exits and
-        concatenating the ranges peaks at 66.0 and 160.1."""
+        ``bound`` traced bytes per walk: 39.1 measured on the square, 80.0
+        for hemisphere pairs. The exits and steps (24 and 64 bytes per walk)
+        are the only full-size arrays held together: the stops are projected
+        in place, a width of rows at a time, and the steps are summed and
+        freed before boundary data is read in chunks. Keeping the stops
+        beside the exits peaks at 43.3 and 116.7."""
         count = 12 * walk._WIDTH
         peak = traced_peak(
             lambda: sample_level(problem, widths, [(stream_context(1), 0, count)], seed=4,
@@ -440,8 +459,8 @@ class TestLevels:
     def test_split_top_up_equals_one_draw(self, level, counts, pack, seed):
         """Topping replica ``r``'s level up to ``a`` then to ``b``, its draws
         packed with the other replicas' into calls of at most ``pack``
-        walks, draws the same samples as one ``sample_level`` draw of ``b``
-        from its own context, bit for bit."""
+        walks, draws the same samples and step total as one
+        ``sample_level`` draw of ``b`` from its own context, bit for bit."""
         contexts = [stream_context(9 + r) for r in range(len(counts))]
         with mock.patch.object(estimator, "_PACK_WALKS", pack):
             levels = _Levels(self.X1, self.EPS, seed, contexts, 1)
@@ -450,11 +469,11 @@ class TestLevels:
             levels.top_up(level, [a for a, _ in counts])  # already held: draws nothing
         for r, (ctx, (a, extra)) in enumerate(zip(contexts, counts)):
             b = a + extra
-            [(values, steps)] = sample_level(
+            [(values, work)] = sample_level(
                 self.X1, self.WIDTHS[level], [(ctx, 0, b)], seed=seed, level=level, threads=1
             )
             np.testing.assert_array_equal(levels.values[r][level], values)
-            np.testing.assert_array_equal(levels.steps[r][level], steps)
+            assert levels.work[r] == [work if l == level else 0 for l in range(3)]
             assert [v.size for v in levels.values[r]] == [b if l == level else 0 for l in range(3)]
 
 
@@ -520,12 +539,12 @@ class TestSolve:
         """A 100-sample pilot at the coarsest width on substream 1 anchors
         the s = 1/3, p = 2 polylog model; its steps count in the work."""
         ladder = default_ladder(SQUARE, 0.02, 4.0)
-        [(pilot_v, pilot_s)] = sample_level(
+        [(pilot_v, pilot_work)] = sample_level(
             SQUARE, ladder.eps[:1], [(stream_context(6, 1), 0, 100)], seed=4, threads=1
         )
-        m = model_allocation(float(np.var(pilot_v, ddof=1)), float(np.mean(pilot_s)), ladder)
+        m = model_allocation(float(np.var(pilot_v, ddof=1)), pilot_work / 100, ladder)
         want = mlmc_estimate(SQUARE, ladder, m, seed=4, threads=1, context=6)
-        want.total_steps += int(np.sum(pilot_s))
+        want.total_steps += pilot_work
         got = solve(SQUARE, "MLWOS", 0.02, eta=4.0, seed=4, threads=1, context=6)
         assert ladder.levels == 2
         assert got.to_dict() == want.to_dict()

@@ -52,7 +52,6 @@ def _width(width):
 
 
 def _assert_same(a, b):
-    np.testing.assert_array_equal(a.stops, b.stops)
     np.testing.assert_array_equal(a.exits, b.exits)
     np.testing.assert_array_equal(a.steps, b.steps)
 
@@ -472,7 +471,7 @@ class TestPerWalkStreams:
         head = run_many(SQUARE, (1.0, 1.0), [1e-2], context=3, start_index=10, count=2, **args)
         tail = run_many(SQUARE, (1.0, 1.0), [1e-2], context=8, start_index=12, **args)
         np.testing.assert_array_equal(mixed.steps, np.concatenate([head.steps, tail.steps], 1))
-        np.testing.assert_array_equal(mixed.stops, np.concatenate([head.stops, tail.stops], 1))
+        np.testing.assert_array_equal(mixed.exits, np.concatenate([head.exits, tail.exits], 1))
         starts = run_many(SQUARE, (1.0, 1.0), [1e-2], context=3, start_index=[11, 10],
                           count=2, **args)
         np.testing.assert_array_equal(starts.steps[:, ::-1], head.steps)
@@ -524,8 +523,7 @@ class TestWalkInvariants:
             )
             assert len(ranges) == t and sum(ranges) == 5000
         for other in runs[1:]:
-            np.testing.assert_array_equal(runs[0].stops, other.stops)
-            np.testing.assert_array_equal(runs[0].steps, other.steps)
+            _assert_same(runs[0], other)
 
     def test_mean_steps_monotone_in_eps(self):
         grid = [0.1, 0.03, 0.01, 0.003]
@@ -593,14 +591,22 @@ class TestEngineProperties:
         ids=["square", "hemisphere", "ball5"],
     )
     def test_exits_are_projections_of_stops(self, domain, x0, count, threads):
-        """Exits, made after every range is done and a width of rows at a
-        time, are the projections of the stops, bit for bit, on counts that
-        are not a multiple of the width."""
+        """Walk ``i`` stops at width ``k`` at ``trace[steps[k, i]]`` of its
+        own traced run, its first position closer to the boundary than the
+        width (first crossing), and exits at that position's projection, bit
+        for bit, also where the call is split into ranges and projected a
+        width of rows at a time."""
         thr = _thresholds(domain, x0, [0.3, 0.01])
         with _width(5):
             batch = run_many(domain, x0, thr, master_seed=11, count=count, threads=threads)
-        for k in range(len(thr)):
-            np.testing.assert_array_equal(batch.exits[k], domain._proj(batch.stops[k]))
+        for i in range(count):
+            pts = run_many(domain, x0, thr, master_seed=11, start_index=i, trace=True).trace
+            assert len(pts) == batch.steps[-1, i] + 1
+            dist = np.maximum(domain._dist(pts), 0.0)
+            for k, eps in enumerate(thr):
+                at = int(batch.steps[k, i])
+                np.testing.assert_array_equal(batch.exits[k, i], domain._proj(pts[at:at + 1])[0])
+                assert dist[at] < eps <= dist[at - 1]
 
     @PROPERTY
     @given(case=CASES, fractions=FRACTIONS, a=st.integers(1, 80), b=st.integers(1, 80),
@@ -614,7 +620,7 @@ class TestEngineProperties:
             whole = run_many(domain, x0, thr, start_index=start, count=a + b, **args)
             head = run_many(domain, x0, thr, start_index=start, count=a, **args)
             tail = run_many(domain, x0, thr, start_index=start + a, count=b, **args)
-        np.testing.assert_array_equal(whole.stops, np.concatenate([head.stops, tail.stops], 1))
+        np.testing.assert_array_equal(whole.exits, np.concatenate([head.exits, tail.exits], 1))
         np.testing.assert_array_equal(whole.steps, np.concatenate([head.steps, tail.steps], 1))
 
     @PROPERTY
@@ -627,7 +633,7 @@ class TestEngineProperties:
             batch = run_many(domain, x0, thr, master_seed=seed, count=count, threads=2)
             for k, eps in enumerate(thr):
                 alone = run_many(domain, x0, [eps], master_seed=seed, count=count)
-                np.testing.assert_array_equal(batch.stops[k], alone.stops[0])
+                np.testing.assert_array_equal(batch.exits[k], alone.exits[0])
                 np.testing.assert_array_equal(batch.steps[k], alone.steps[0])
         assert np.all(np.diff(batch.steps, axis=0) >= 0)
 
@@ -652,7 +658,7 @@ class TestEngineProperties:
                      count=n)
             for c, s, n in segments
         ]
-        for field in ("stops", "exits", "steps"):
+        for field in ("exits", "steps"):
             np.testing.assert_array_equal(
                 getattr(fused, field), np.concatenate([getattr(p, field) for p in parts], 1)
             )
@@ -680,7 +686,7 @@ class TestEngineProperties:
             pos = pos + dist * walk._directions(domain.dim, step)[0]
             dist = max(domain._dist(pos[None, :])[0], 0.0)
             steps += 1
-        np.testing.assert_array_equal(res.stops[0, 0], pos)
+        np.testing.assert_array_equal(res.exits[0, 0], domain._proj(pos[None, :])[0])
         assert res.steps[0, 0] == steps
 
 
@@ -708,9 +714,8 @@ class TestTailLookahead:
         with _width(1):
             stepwise = run_many(domain, x0, thr, **args)
         _assert_same(batch, stepwise)
-        np.testing.assert_array_equal(batch.exits, stepwise.exits)
         fine = run_many(domain, x0, thr[1:], **args)
-        np.testing.assert_array_equal(batch.stops[1], fine.stops[0])
+        np.testing.assert_array_equal(batch.exits[1], fine.exits[0])
         np.testing.assert_array_equal(batch.steps[1], fine.steps[0])
 
     @pytest.mark.parametrize(
@@ -770,7 +775,7 @@ class TestMlPair:
         pair = run_many(SQUARE, (1.0, 1.0), [0.05, 0.05], master_seed=2)
         assert prob.bc(pair.exits[1, 0]) - prob.bc(pair.exits[0, 0]) == 0.0
         assert pair.steps[0, 0] == pair.steps[1, 0]
-        np.testing.assert_array_equal(pair.stops[0, 0], pair.stops[1, 0])
+        np.testing.assert_array_equal(pair.exits[0, 0], pair.exits[1, 0])
 
     def test_ball_center_pair_single_step(self):
         ball = Ball(3, 1.0)
@@ -779,10 +784,10 @@ class TestMlPair:
         assert pair.steps[1, 0] == 1
 
     def test_fine_extends_coarse(self):
-        pair = run_many(SQUARE, (1.0, 1.0), [0.1, 1e-3], master_seed=17)
+        pair = run_many(SQUARE, (1.0, 1.0), [0.1, 1e-3], master_seed=17, trace=True)
         assert pair.steps[0, 0] <= pair.steps[1, 0]
-        assert SQUARE.distance_to_boundary(pair.stops[0, 0]) < 0.1
-        assert SQUARE.distance_to_boundary(pair.stops[1, 0]) < 1e-3
+        assert SQUARE.distance_to_boundary(pair.trace[pair.steps[0, 0]]) < 0.1
+        assert SQUARE.distance_to_boundary(pair.trace[pair.steps[1, 0]]) < 1e-3
 
     def test_prefix_property_bitwise(self):
         for idx in range(20):
@@ -791,10 +796,11 @@ class TestMlPair:
             )
             pts = pair.trace
             assert len(pts) == pair.steps[1, 0] + 1
-            np.testing.assert_array_equal(pts[-1], pair.stops[1, 0])
+            np.testing.assert_array_equal(SQUARE._proj(pts[-1:])[0], pair.exits[1, 0])
             dists = SQUARE._dist(pts)
             first_inside = int(np.argmax(dists < 0.1))
-            np.testing.assert_array_equal(pts[first_inside], pair.stops[0, 0])
+            np.testing.assert_array_equal(SQUARE._proj(pts[first_inside:first_inside + 1])[0],
+                                          pair.exits[0, 0])
             assert first_inside == pair.steps[0, 0]
 
     def test_coupling_reduces_variance(self):
