@@ -116,7 +116,6 @@ _DEFAULTS = {
         "format": "csv",
         "output": "variance.csv",
         "eta": 2.0,
-        "eps_target": 0.5,
         "m": 10000,
         "reps": 10,
     },
@@ -155,7 +154,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--problem", choices=PROBLEM_NAMES, default=None)
         p.add_argument("--method", default=None, help="wos, mlwos or meas (comma list for study-workerr)")
         p.add_argument("--eps", dest="eps_target", type=float, default=None,
-                       help="error target; coarsest width for study-variance")
+                       help="error target; coarsest width for study-variance "
+                            "(default: half the start's boundary distance)")
         p.add_argument("--eta", type=float, default=None, help="width refinement factor (>1)")
         p.add_argument("--warmup", type=int, default=None, help="warm-up samples per level")
         p.add_argument("--m", type=int, default=None, help="explicit sample count per run or level")
@@ -199,6 +199,14 @@ def parse_args(argv) -> RunConfig:
             resolved[name] = value
             given.add(name)
 
+    if command == "study-variance" and "eps_target" not in resolved:
+        # The coarsest width must lie below the start's boundary distance;
+        # half of it is 0.5 on the square and the unit balls.
+        try:
+            problem = get_problem(resolved.get("problem", RunConfig.problem))
+        except ValueError as exc:
+            raise _usage_exit(str(exc))
+        resolved["eps_target"] = 0.5 * problem.domain.distance_to_boundary(problem.start)
     config = RunConfig(command=command, **{k: v for k, v in resolved.items() if k in fields})
     try:
         config.validate(given)

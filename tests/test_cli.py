@@ -192,6 +192,16 @@ class TestParseArgs:
         assert cfg.method == "wos,mlwos,meas"
         assert cfg.reps == 20
 
+    @pytest.mark.parametrize("problem, eps", [("square", 0.5), ("ball3", 0.5), ("hemisphere", 0.05)])
+    def test_variance_width_defaults_to_half_the_start_distance(self, tmp_path, problem, eps):
+        """The hemisphere's start is 0.1 from its boundary, so a fixed 0.5
+        could not run there; the default runs and is echoed."""
+        out = tmp_path / "variance.json"
+        argv = ["study-variance", "--problem", problem, "--levels", "2", "--m", "100",
+                "--reps", "1", "--format", "json", "--threads", "1", "--output", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["config"]["eps_target"] == eps
+
 
 class TestSolveCommand:
     def test_constant_problem_summary(self, tmp_path, cli_env):
@@ -304,7 +314,7 @@ class TestConfigEcho:
             assert main(argv + ["--format", "json", "--output", str(out)]) == 0
             doc = json.loads(out.read_text())
         assert set(doc["config"]) == _ECHOED[case] | {"stream_format"}
-        assert doc["config"]["stream_format"] == 2
+        assert doc["config"]["stream_format"] == 3
 
 
 class TestTraceCommand:

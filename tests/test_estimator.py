@@ -432,7 +432,7 @@ class TestSampleLevel:
     )
     def test_traced_peak_per_walk(self, problem, widths, bound, traced_peak):
         """A level of 12 engine widths of walks on one thread peaks at most
-        ``bound`` traced bytes per walk: 39.1 measured on the square, 80.0
+        ``bound`` traced bytes per walk: 39.4 measured on the square, 80.0
         for hemisphere pairs. The exits and steps (24 and 64 bytes per walk)
         are the only full-size arrays held together: the stops are projected
         in place, a width of rows at a time, and the steps are summed and

@@ -174,12 +174,14 @@ class TestPhiloxKernel:
 
     def test_traced_peak_of_a_full_width_planar_call(self, traced_peak):
         """One 2-D ``run_many`` of 16384 walks, the engine's full width,
-        peaks at 3.01 MiB traced (in its first Philox draw), below 3.1 MiB.
+        peaks at 3.07 MiB traced (in its first direction draw, with the
+        unit-circle temporaries of one 16384-element chunk), below 3.1 MiB.
         Directions are written straight into their output, and a draw's
-        directions are freed before the next draw. A separate angle
-        temporary in ``_directions`` peaks at 3.19 MiB, keeping the last
-        draw's directions through the next draw at 3.57, and making the
-        exits before the walks at 3.26."""
+        directions are freed before the next draw. Gathering table rows in
+        ``take``'s default mode, which buffers ``out``, peaks at 3.13 MiB.
+        At stream format 2 a separate angle temporary in ``_directions``
+        peaked at 3.19, keeping the last draw's directions through the next
+        draw at 3.57, and making the exits before the walks at 3.26."""
         peak = traced_peak(
             lambda: run_many(SQUARE, (1.0, 1.0), [1e-2], master_seed=3, count=walk._WIDTH,
                              threads=1)
@@ -260,31 +262,121 @@ def _chi2_uniform(values, lo, hi, bins=16):
     return float(np.sum((counts - expected) ** 2 / expected))
 
 
+def _circle_reference(m):
+    """cos and sin of the angles m * 2 pi / 2^53 by the format-3 formula,
+    in plain numpy on whole arrays: the table row of m's top 12 bits,
+    rotated by d = (m mod 2^41) * 2 pi / 2^53 with sin d ~ d - d^3/6 and
+    cos d - 1 ~ -d^2/2 + d^4/24, the table value added last."""
+    t_c, t_s = walk._CIRCLE[:, (m >> np.uint64(41)).astype(np.int64)]
+    d = (m & np.uint64(2 ** 41 - 1)) * walk._ANGLE
+    d2 = d * d
+    cm1 = (d2 * (1.0 / 24.0) - 0.5) * d2
+    sd = (d2 * (-1.0 / 6.0) + 1.0) * d
+    return t_c + (t_c * cm1 - t_s * sd), t_s + (t_s * cm1 + t_c * sd)
+
+
 def _box_muller_reference(lanes):
     """Every lane pair (2p, 2p + 1) along the first axis gives normals 2p
     (cosine) and 2p + 1 (sine), all of them computed."""
     u_log = ((lanes[0::2] >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
-    u_ang = (lanes[1::2] >> np.uint64(11)) * 2.0 ** -53
     r = np.sqrt(-2.0 * np.log(u_log))
-    theta = 2.0 * np.pi * u_ang
+    cos, sin = _circle_reference(lanes[1::2] >> np.uint64(11))
     out = np.empty(lanes.shape)
-    out[0::2] = r * np.cos(theta)
-    out[1::2] = r * np.sin(theta)
+    out[0::2] = r * cos
+    out[1::2] = r * sin
     return out
 
 
 def _lane_formula_reference(dim, lanes):
     """Directions of 1-D to 3-D from one step's lanes, as (dim, rows): the
     sign of the top bit; the angle 2 pi u; z = 2u - 1 and azimuth 2 pi v."""
-    u = (lanes >> np.uint64(11)) * 2.0 ** -53
     if dim == 1:
         return np.where(lanes[:1] >> np.uint64(63), -1.0, 1.0)
-    theta = 2.0 * np.pi * u[-1]
+    cos, sin = _circle_reference(lanes[-1] >> np.uint64(11))
     if dim == 2:
-        return np.stack([np.cos(theta), np.sin(theta)])
-    z = 2.0 * u[0] - 1.0
+        return np.stack([cos, sin])
+    z = 2.0 * ((lanes[0] >> np.uint64(11)) * 2.0 ** -53) - 1.0
     r = np.sqrt(1.0 - z * z)
-    return np.stack([r * np.cos(theta), r * np.sin(theta), z])
+    return np.stack([r * cos, r * sin, z])
+
+
+def _circle(m, rows):
+    """``walk._circle`` of the words ``m``, as (cos, sin) flat arrays; the
+    words are laid out as (n, ``rows``)."""
+    cos, sin = np.empty((2, m.size // rows, rows))
+    walk._circle(m.reshape(-1, rows).copy(), cos, sin)
+    return cos.ravel(), sin.ravel()
+
+
+# Words at the ends of the grid and of table rows: 2^41 steps one row.
+EDGE_WORDS = np.array(
+    [0, 2 ** 41 - 1, 2 ** 41, 2 ** 50, 2 ** 51, 2 ** 52, 3 * 2 ** 51, 2 ** 53 - 1], dtype=np.uint64
+)
+
+
+class TestCircle:
+    """Unit-circle points of stream format 3 (``walk._circle``)."""
+
+    @pytest.fixture(scope="class")
+    def words(self):
+        rng = np.random.default_rng(31)
+        return np.concatenate([rng.integers(0, 2 ** 53, 2 ** 20, dtype=np.uint64), EDGE_WORDS])
+
+    def test_within_1e15_of_libm(self, words):
+        cos, sin = _circle(words, rows=words.size)
+        angle = words * walk._ANGLE
+        np.testing.assert_allclose(cos, np.cos(angle), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(sin, np.sin(angle), rtol=0, atol=1e-15)
+
+    def test_unit_norm(self, words):
+        cos, sin = _circle(words, rows=words.size)
+        assert np.abs(np.sqrt(cos * cos + sin * sin) - 1.0).max() <= 4.5e-16
+
+    def test_matches_the_formula(self, words):
+        """Bit for bit the reference formula on whole arrays."""
+        got = _circle(words, rows=words.size)
+        for g, ref in zip(got, _circle_reference(words)):
+            np.testing.assert_array_equal(g, ref)
+
+    def test_zero_rotation_is_the_table_row(self):
+        """A word whose low 41 bits are zero returns its row bit for bit."""
+        rows = np.arange(2 ** walk._CIRCLE_BITS, dtype=np.uint64)
+        cos, sin = _circle(rows << np.uint64(41), rows=64)
+        np.testing.assert_array_equal(cos, walk._CIRCLE[0])
+        np.testing.assert_array_equal(sin, walk._CIRCLE[1])
+        np.testing.assert_array_equal(walk._CIRCLE[:, 0], [1.0, 0.0])
+
+    def test_table_rows_agree_a_quarter_and_half_turn_apart(self):
+        """Exact rows satisfy cos t = sin(t + quarter turn) = -cos(t + half
+        turn) to 1.2e-16, the rounding of 2 pi; the table keeps them within
+        3e-16, since each row is rotated back by its angle's rounding. Rows
+        of plain ``np.cos``/``np.sin(k * step)`` break them by 5.8e-16."""
+        cos, sin = walk._CIRCLE
+        assert np.abs(cos[:3072] - sin[1024:]).max() <= 3e-16
+        assert np.abs(cos[:2048] + cos[2048:]).max() <= 3e-16
+        assert np.abs(sin[:2048] + sin[2048:]).max() <= 3e-16
+
+    @pytest.mark.parametrize("shape", [(1, 20_000), (6, 4100), (3000, 7), (5, 3)])
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_chunking_changes_no_bit(self, shape, chunk):
+        """Chunks across rows, within rows and of whole rows give one
+        unchunked call's bits."""
+        words = np.random.default_rng(chunk).integers(0, 2 ** 53, shape, dtype=np.uint64)
+        with mock.patch.object(walk, "_CIRCLE_CHUNK", words.size):
+            whole = _circle(words, rows=shape[1])
+        with mock.patch.object(walk, "_CIRCLE_CHUNK", chunk):
+            parts = _circle(words, rows=shape[1])
+        np.testing.assert_array_equal(whole, parts)
+
+    def test_strided_rows(self):
+        """Rows of ``m`` may be strided, as the 3-D azimuth lanes are."""
+        words = np.random.default_rng(5).integers(0, 2 ** 53, (40, 2, 300), dtype=np.uint64)
+        cos, sin = np.empty((2, 40, 300))
+        with mock.patch.object(walk, "_CIRCLE_CHUNK", 1000):
+            walk._circle(words.copy()[:, 1], cos, sin)
+        ref = _circle_reference(words[:, 1])
+        np.testing.assert_array_equal(cos, ref[0])
+        np.testing.assert_array_equal(sin, ref[1])
 
 
 class TestUniformDirection:
@@ -309,7 +401,7 @@ class TestUniformDirection:
         lanes_per_step, steps, rows = walk._lanes_per_direction(dim), 3, 7
         rng = np.random.default_rng(dim)
         lanes = rng.integers(0, 2 ** 64, (steps * lanes_per_step, rows), dtype=np.uint64)
-        got = walk._directions(dim, lanes)
+        got = walk._directions(dim, lanes.copy())
         assert got.shape == (steps * rows, dim)
         for t in range(steps):
             g = _box_muller_reference(lanes[t * lanes_per_step:(t + 1) * lanes_per_step])[:dim]
@@ -319,7 +411,7 @@ class TestUniformDirection:
             np.testing.assert_array_equal(got[t * rows:(t + 1) * rows], (g / np.sqrt(n2)).T)
         own = _lanes(StreamKey(9, sample_index=dim), 2)[:lanes_per_step, None]
         np.testing.assert_array_equal(
-            walk._lanes_to_normals(own, dim)[:, 0, 0], _box_muller_reference(own)[:dim, 0]
+            walk._lanes_to_normals(own.copy(), dim)[:, 0, 0], _box_muller_reference(own)[:dim, 0]
         )
 
     def test_one_dimension_is_sign(self):
