@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -91,10 +92,10 @@ class RunConfig:
         unread = sorted(_FLAGS.get(name, "--" + name) for name in set(given) - reads)
         if unread:
             raise ValueError(f"{where} does not read {', '.join(unread)}")
-        if self.eps_target <= 0.0:
-            raise ValueError("--eps must be positive")
-        if self.eta <= 1.0:
-            raise ValueError("--eta must exceed 1")
+        if not (math.isfinite(self.eps_target) and self.eps_target > 0.0):
+            raise ValueError("--eps must be finite and positive")
+        if not (math.isfinite(self.eta) and self.eta > 1.0):
+            raise ValueError("--eta must be finite and exceed 1")
         walk.resolve_threads(self.threads)  # rejects a bad --threads or MLWOS_THREADS
         if self.reps < 1:
             raise ValueError("--reps must be at least 1")
@@ -229,8 +230,8 @@ def _parse_eps_list(text):
         raise ValueError(f"bad --eps-list {text!r}")
     if not values:
         raise ValueError("--eps-list must not be empty")
-    if any(v <= 0.0 for v in values):
-        raise ValueError(f"--eps-list widths must be positive, got {text!r}")
+    if not all(math.isfinite(v) and v > 0.0 for v in values):
+        raise ValueError(f"--eps-list widths must be finite and positive, got {text!r}")
     return values
 
 

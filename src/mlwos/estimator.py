@@ -104,12 +104,10 @@ class Ladder:
     eps: tuple
 
     def __post_init__(self):
-        if self.eta <= 1.0:
-            raise ValueError("eta must exceed 1")
+        _check_eta(self.eta)
         if not self.eps:
             raise ValueError("need at least one width")
-        if any(e <= 0.0 for e in self.eps):
-            raise ValueError("widths must be positive")
+        _check_widths(*self.eps)
         if any(b > a for a, b in zip(self.eps, self.eps[1:])):
             raise ValueError("widths must be nonincreasing")
 
@@ -120,6 +118,16 @@ class Ladder:
     @property
     def levels(self) -> int:
         return len(self.eps) - 1
+
+
+def _check_eta(eta: float):
+    if not (math.isfinite(eta) and eta > 1.0):
+        raise ValueError(f"eta must be finite and exceed 1, got {eta}")
+
+
+def _check_widths(*widths: float):
+    if not all(math.isfinite(e) and e > 0.0 for e in widths):
+        raise ValueError(f"widths must be finite and positive, got {widths}")
 
 
 def _anchored_ladder(eps_target: float, eta: float, levels: int) -> Ladder:
@@ -135,10 +143,8 @@ def build_ladder(eps_target: float, eta: float, eps0_hint: float) -> Ladder:
     """Ladder with the fewest levels such that refining ``eps0_hint`` by
     ``eta`` reaches ``eps_target``; the finest width equals the target
     exactly and the coarsest is derived from it."""
-    if eta <= 1.0:
-        raise ValueError("eta must exceed 1")
-    if eps_target <= 0.0 or eps0_hint <= 0.0:
-        raise ValueError("widths must be positive")
+    _check_eta(eta)
+    _check_widths(eps_target, eps0_hint)
     if eps_target > eps0_hint:
         raise ValueError("eps_target must not exceed eps0_hint")
     levels = 0
@@ -156,12 +162,10 @@ def default_ladder(problem: Problem, eps_target: float, eta: float) -> Ladder:
     point's boundary distance (walks must start outside the stopping shell
     on every level)."""
     d0 = problem.domain.distance_to_boundary(problem.start)
-    if eps_target <= 0.0:
-        raise ValueError("eps_target must be positive")
+    _check_widths(eps_target)
     if eps_target >= d0:
         raise ValueError("eps_target must be below the start's boundary distance")
-    if eta <= 1.0:
-        raise ValueError("eta must exceed 1")
+    _check_eta(eta)
     levels = 0
     while eps_target * eta ** (levels + 1) <= 0.9 * d0:
         levels += 1

@@ -246,6 +246,8 @@ def pdiv_study(
     ``coupled_radius=True`` the radius shrinks with the width as
     radius * (eps/max_eps)^(1/(2 alpha + 1)) instead of staying fixed.
     """
+    if not len(eps_list):
+        raise ValueError("eps_list must hold at least one width")
     if radius >= problem.domain.diameter:
         raise ValueError("radius must be below the domain diameter")
     if any(e >= radius for e in eps_list):
@@ -352,6 +354,10 @@ def work_error_study(
     """
     if reps < 5:
         raise ValueError("reps must be at least 5")
+    if not len(methods):
+        raise ValueError("methods must name at least one method")
+    if not len(eps_targets):
+        raise ValueError("eps_targets must hold at least one target")
     truth = problem.reference_solution
     if truth is None:
         raise ValueError("work-error study needs a problem with a reference solution")

@@ -9,21 +9,23 @@ function numpy's own ``Philox`` bit generator computes (see the tests), but
 random access by (key, counter) lets whole batches of paths draw their next
 jump direction in one array operation.
 
-Every path step consumes a fixed number of lanes (64-bit words) of its
-stream, the fewest its direction needs: one in 1-D and 2-D, two in 3-D
-(Archimedes' hat-box theorem), and from 4-D on the dimension rounded up to
-even, for normalized Box-Muller gaussians. Every point on the unit circle
-(the 2-D direction, the 3-D azimuth, each Box-Muller pair) is the angle
-2 pi m / 2^53 of a lane's top 53 bits ``m``, read from a 4096-row table of
-cos and sin and rotated by the angle of ``m``'s low 41 bits with a short
-Taylor series (:func:`_circle`), within 1e-15 of libm's value. This is
-stream format 3 (``STREAM_FORMAT``). Consequence: a walk's trajectory
-depends only on its key, never on thread count, batch membership, or
-execution order. So one engine call can run walks of many streams, each
-with its own context and sample index.
+Every path step consumes a fixed number of 32-bit words of its stream, the
+fewest its direction needs: one in 1-D and 2-D, two in 3-D (Archimedes'
+hat-box theorem), and from 4-D on two per lane of the dimension rounded up
+to even, for normalized Box-Muller gaussians. A lane (a 64-bit Philox
+output word) holds two words, its high half first. Every point on the unit
+circle (the 2-D direction, the 3-D azimuth, each Box-Muller pair) is the
+angle 2 pi m / 2^53 of 53 bits ``m`` (a word ``w`` as ``w << 21``, a
+Box-Muller lane's top 53 bits), read from a 4096-row table of cos and sin
+and rotated by the angle of ``m``'s low 41 bits with a short Taylor series
+(:func:`_circle`), within 1e-15 of libm's value. This is stream format 4
+(``STREAM_FORMAT``). Consequence: a walk's trajectory depends only on its
+key, never on thread count, batch membership, or execution order. So one
+engine call can run walks of many streams, each with its own context and
+sample index.
 
 The engine (``_walk_chunk``) runs a wavefront: a fixed-width set of walks
-in flight, advanced together, drawing their lanes in strides aligned to
+in flight, advanced together, drawing their words in strides aligned to
 whole Philox blocks, with finished walks replaced by the next sample index.
 Once no samples are left to refill, each draw covers up to twice as many
 strides as the one before, so a call's tail takes few draws.
@@ -53,10 +55,10 @@ __all__ = [
     "DEFAULT_MAX_STEPS",
 ]
 
-# Version of how a walk turns its stream into directions: the lane layout
+# Version of how a walk turns its stream into directions: the word layout
 # and the unit-circle arithmetic. Artifacts record it, since every sample
 # depends on it.
-STREAM_FORMAT = 3
+STREAM_FORMAT = 4
 
 # A path this long means the stopping width is unreachable or the stream is
 # pathological; turning it into an error keeps hangs diagnosable.
@@ -77,6 +79,17 @@ DEFAULT_MAX_STEPS = 10_000_000
 # against 43.3 MB, medians of 4 runs each at stream format 2).
 _WIDTH = 16384
 
+# A wavefront drops its finished walks mid-draw once at most this share of
+# the walks in flight are still going, and at the end of every draw. Until
+# then a finished walk keeps its slot, jumps on inside the domain (a jump
+# stays within the ball its boundary distance allows) and records nothing.
+# Outputs do not depend on it. Dropping them after every sub-step on which
+# a walk finished took 8% more process time per step on 100k-walk calls on
+# the square at 1e-3 and 10% on hemisphere pairs at (0.016, 1e-3); only at
+# a draw's end, about the same as this (medians of 6 alternated rounds at
+# threads 1, 2 vCPU).
+_COMPACT_SHARE = 0.5
+
 # Philox4x64-10 round multipliers of counter words 0 and 2, one row each, as
 # full 64-bit values and as 32-bit halves (the 128-bit products are built
 # from those), and round r's key offsets r * (W0, W1), the Weyl increments
@@ -94,7 +107,10 @@ _MUL_HI = _MUL >> _S32
 _MUL_LO = _MUL & _MASK32
 _S11 = np.array(11, dtype=np.uint64)
 _S16 = np.array(16, dtype=np.uint64)
-_S63 = np.array(63, dtype=np.uint64)
+_S52 = np.array(52, dtype=np.uint64)
+# A lane's high 32-bit word ``w`` as ``w << 21``, once the lane is shifted
+# right by 11.
+_HIGH_WORD = np.array((2 ** 32 - 1) << 21, dtype=np.uint64)
 _U64ONE = np.array(1, dtype=np.uint64)
 # Calls of at most this many blocks multiply by rows of their own shape;
 # larger ones by the (2, 1) columns above. A broadcast column costs a
@@ -305,8 +321,9 @@ def _circle(m, cos, sin):
     """Write cos and sin of the angles ``m * _ANGLE`` (2 pi m / 2^53) into
     ``cos`` and ``sin``.
 
-    ``m`` holds lanes' top 53 bits as uint64 and is overwritten; all three
-    are (n, rows) arrays of one shape with contiguous rows. The top 12 bits
+    ``m`` holds 53-bit angles as uint64 (a word ``w`` as ``w << 21``, or a
+    lane's top 53 bits) and is overwritten; all three are (n, rows) arrays
+    of one shape with contiguous rows. The top 12 bits
     of ``m`` pick a row (t_c, t_s) of ``_CIRCLE``, and the low 41 give the
     rest of the angle, d < 2 pi / 4096 < 1.6e-3. The row is rotated by d,
     the table value added last: cos = t_c + (t_c (cos d - 1) - t_s sin d)
@@ -356,15 +373,15 @@ def _lanes_to_normals(lanes, dim):
     """Box-Muller gaussians for directions in ``dim`` >= 4 dimensions, as a
     (dim, steps, rows) array; ``lanes`` is overwritten.
 
-    ``lanes`` is (steps * L, rows), ``L`` lanes per direction: step ``t`` of
-    column ``r`` takes lanes ``t*L`` to ``t*L + L - 1``. ``L`` is even, so
-    every lane pair lies within one step. Pair ``p`` of a step gives its
-    coordinates ``2p`` (cosine) and ``2p + 1`` (sine): the even lane feeds
-    the radial log term via the (0,1] mapping, the odd lane the angle via
-    :func:`_circle`. In odd dimensions the last pair's sine is made but
-    not returned.
+    ``lanes`` is (steps * L, rows), ``L`` (``dim`` rounded up to even)
+    lanes per direction: step ``t`` of column ``r`` takes lanes ``t*L`` to
+    ``t*L + L - 1``, so every lane pair lies within one step. Pair ``p`` of
+    a step gives its coordinates ``2p`` (cosine) and ``2p + 1`` (sine): the
+    even lane feeds the radial log term via the (0,1] mapping, the odd lane
+    the angle via :func:`_circle`. In odd dimensions the last pair's sine
+    is made but not returned.
     """
-    half = _lanes_per_direction(dim) // 2
+    half = (dim + 1) // 2
     rows = lanes.shape[-1]
     np.right_shift(lanes, _S11, out=lanes)
     pairs = lanes.reshape(-1, half, 2, rows)
@@ -380,28 +397,44 @@ def _lanes_to_normals(lanes, dim):
     return out[:dim]
 
 
-def _lanes_per_direction(dim: int) -> int:
-    """Lanes a step's direction takes: one in 1-D and 2-D, two in 3-D, and
-    ``dim`` rounded up to even (Box-Muller pairs) from 4-D on."""
+def _words_per_direction(dim: int) -> int:
+    """32-bit words a step's direction takes: one in 1-D and 2-D, two in
+    3-D, and from 4-D on two per lane of ``dim`` rounded up to even
+    (Box-Muller pairs)."""
     if dim <= 3:
         return max(dim - 1, 1)
-    return 2 * ((dim + 1) // 2)
+    return 4 * ((dim + 1) // 2)
+
+
+def _split_words(lanes, low):
+    """Turn each lane's two 32-bit words ``w`` into the 53-bit ``w << 21``:
+    the high word's in place in ``lanes``, the low word's into ``low``, a
+    uint64 array of ``lanes``' shape."""
+    np.left_shift(lanes, _S32, out=low)
+    np.right_shift(low, _S11, out=low)
+    np.right_shift(lanes, _S11, out=lanes)
+    np.bitwise_and(lanes, _HIGH_WORD, out=lanes)
 
 
 def _directions(dim, lanes):
-    """Unit directions from ``lanes`` (steps * L, rows), returned as a
-    (steps * rows, dim) view: direction ``t * rows + r`` is step ``t`` of
-    column ``r``. Its transpose is contiguous (dim, steps * rows).
+    """Unit directions from ``lanes`` (n, rows), returned as a (steps *
+    rows, dim) view: direction ``t * rows + r`` is step ``t`` of column
+    ``r``. Its transpose is contiguous (dim, steps * rows).
 
-    With ``u`` a lane's top 53 bits times 2^-53, uniform on [0, 1): 1-D
-    takes the sign from the lane's top bit, 2-D the angle 2 pi u, and 3-D
-    z = 2u - 1 from a step's first lane and the azimuth 2 pi v from its
-    second, at radius sqrt(1 - z^2) about the z axis. The height of a
-    uniform point on the sphere is uniform on [-1, 1] and independent of
-    its azimuth (Archimedes' hat-box theorem; Marsaglia 1972). From 4-D on,
-    directions are normalized Box-Muller gaussians. Every cos and sin
-    comes from :func:`_circle`. ``lanes`` is overwritten; in 1-D to 3-D the
-    directions are written straight into the result.
+    In 1-D to 3-D each lane is two 32-bit words, its high half first, and
+    ``u`` is a word ``w`` times 2^-32, uniform on [0, 1). 1-D and 2-D
+    steps take a word each, so the n lanes give 2n steps: 1-D the sign of
+    the word's top bit, 2-D the angle 2 pi u. A 3-D step takes a lane:
+    z = 2u - 1 from its high word and the azimuth 2 pi v from its low one,
+    at radius sqrt(1 - z^2) about the z axis. The height of a uniform
+    point on the sphere is uniform on [-1, 1] and independent of its
+    azimuth (Archimedes' hat-box theorem; Marsaglia 1972). Every word goes
+    through the format-3 arithmetic of a lane's top 53 bits as ``w << 21``,
+    so z = (w << 21) 2^-52 - 1 and :func:`_circle` gives the angle 2 pi u
+    exactly. From 4-D on, each step takes ``dim`` rounded up to even whole
+    lanes, for normalized Box-Muller gaussians. ``lanes`` is overwritten; in 1-D to 3-D the low words wait
+    in the result's own memory and the directions are written straight
+    into it.
     """
     if dim > 3:
         g = _lanes_to_normals(lanes, dim).reshape(dim, -1)
@@ -418,23 +451,32 @@ def _directions(dim, lanes):
             norm[degenerate] = 1.0
         g /= norm
         return g.T
-    rows = lanes.shape[-1]
-    np.right_shift(lanes, _S63 if dim == 1 else _S11, out=lanes)
-    step_lanes = lanes.reshape(-1, _lanes_per_direction(dim), rows)
-    out = np.empty((dim, step_lanes.shape[0], rows))
-    if dim == 1:
-        np.multiply(step_lanes[:, 0], -2.0, out=out[0])
-        out[0] += 1.0
-    else:
-        _circle(step_lanes[:, -1], out[0], out[1])
+    n, rows = lanes.shape
     if dim == 3:
+        out = np.empty((3, n, rows))
+        azimuth = out[2].view(np.uint64)
+        _split_words(lanes, azimuth)
+        _circle(azimuth, out[0], out[1])
         z = out[2]
-        np.multiply(step_lanes[:, 0], _INV52, out=z)
+        np.multiply(lanes, _INV52, out=z)
         z -= 1.0
         r = z * z
         np.subtract(1.0, r, out=r)
         np.sqrt(r, out=r)
         out[:2] *= r
+        return out.reshape(3, -1).T
+    # Step 2j takes lane j's high word, step 2j + 1 its low word, which
+    # waits in the first coordinate of step 2j.
+    out = np.empty((dim, 2 * n, rows))
+    low = out[0, 0::2].view(np.uint64)
+    _split_words(lanes, low)
+    for m, steps in ((low, slice(1, None, 2)), (lanes, slice(0, None, 2))):
+        if dim == 1:
+            np.right_shift(m, _S52, out=m)
+            np.multiply(m, -2.0, out=out[0, steps])
+            out[0, steps] += 1.0
+        else:
+            _circle(m, out[0, steps], out[1, steps])
     return out.reshape(dim, -1).T
 
 
@@ -485,22 +527,28 @@ def _walk_chunk(domain, x0, thr, streams, count, max_steps, stops, steps, lo=0, 
     words are made for the walks in flight at each draw.
 
     At most ``_WIDTH`` walks are in flight, in ascending row order. Each
-    iteration draws lanes for every walk in flight in whole strides of
-    Philox blocks (four steps per block in 1-D and 2-D, two in 3-D, two
-    per three blocks in 5-D), turns them into directions in one call, then
-    advances the walks one sub-step at a time: jump the current boundary
-    distance in the step's direction, record every threshold crossed, drop
-    walks past the last one. While rows are left, an iteration draws one
-    stride, and finished slots are refilled with the next rows at the
-    stride boundary. After that (the tail), draws cover 1, 2, 4, ...
-    strides, capped so that walks times strides stays within ``_WIDTH``,
-    whatever the call's count: a lone walk's draws grow too. Every draw
-    but a walk's last is used in full, and its last is at most one stride
-    longer than all its earlier draws together, so the lanes drawn stay
-    below twice the lanes used plus one stride per walk. Step ``t`` of
-    every walk uses lanes ``t*L`` to ``(t+1)*L - 1`` of its stream (``L``
-    lanes per direction). Walks enter and draw in whole strides, so every
-    draw starts on a block boundary.
+    iteration draws Philox blocks for every walk in flight in whole strides
+    (eight steps per block in 1-D and 2-D, four in 3-D, one in 4-D, two per
+    three blocks in 5-D). It keeps the draw's lanes and turns about
+    ``4 * _WIDTH`` words of them at a time into directions, whole lanes of
+    every column still in flight (half a block per walk at full width).
+    Between those calls it advances the walks one sub-step at a time: jump
+    the current boundary distance in the step's direction, record every
+    threshold crossed. A walk past its last threshold stays in its slot,
+    jumping on inside the domain and recording nothing, until at most
+    ``_COMPACT_SHARE`` of the walks in flight are still going or the draw
+    ends; then the finished walks are dropped. While rows are left, an
+    iteration draws one stride, and finished slots are refilled with the
+    next rows at the stride boundary. After that (the tail), draws cover 1,
+    2, 4, ... strides, capped so that walks times strides stays within
+    ``_WIDTH``, whatever the call's count: a lone walk's draws grow too.
+    Every draw but a walk's last is used in full, and its last is at most
+    one stride longer than all its earlier draws together, so the words
+    drawn stay below twice the words used plus one stride per walk. Step
+    ``t`` of every walk uses words ``t*W`` to ``(t+1)*W - 1`` of its stream
+    (``W`` words per direction; word ``2j`` is lane ``j``'s high half).
+    Walks enter and draw in whole strides, so every draw starts on a block
+    boundary.
 
     Row ``i`` writes column ``i`` of the call's ``stops`` (nthr, rows, dim)
     and ``steps`` (nthr, rows). With ``trace`` (one walk), returns its
@@ -508,8 +556,11 @@ def _walk_chunk(domain, x0, thr, streams, count, max_steps, stops, steps, lo=0, 
     """
     dim = domain.dim
     nthr = thr.size
-    lanes_per_step = _lanes_per_direction(dim)
-    stride = math.lcm(lanes_per_step, 4) // lanes_per_step
+    words = _words_per_direction(dim)
+    stride = math.lcm(words, 8) // words
+    # The fewest lanes that hold whole steps: one lane holds two 1-D or 2-D
+    # steps, or one 3-D step.
+    unit = -(-words // 2)
     k0 = _u64(streams[0])
     d0 = max(float(domain._dist(x0[None, :])[0]), 0.0)
     # A walk past its last threshold compares against -inf: no more hits.
@@ -545,47 +596,63 @@ def _walk_chunk(domain, x0, thr, streams, count, max_steps, stops, steps, lo=0, 
             reach *= 2
         lanes = _raw_lanes(
             k0, *_stream_rows(streams, idx),
-            (now - entry) * lanes_per_step // 4, nsub * lanes_per_step // 4,
+            (now - entry) * words // 8, nsub * words // 8,
         )
-        # (dim, sub-step, column of this draw); the lanes are not kept.
-        dirs = _directions(dim, lanes).T.reshape(dim, nsub, idx.size)
-        del lanes
-        live = None  # columns of ``dirs`` still in flight, once some have left
-        for t in range(nsub):
-            if now - entry[0] >= max_steps:
-                # The first walk in flight is the oldest and has the lowest
-                # row, so it is the lowest row that exceeds the limit.
-                raise StepLimitExceeded(max_steps, _row_key(streams, int(idx[0])))
-            g = dirs[:, t] if live is None else dirs[:, t].take(live, axis=1)
-            g *= dist
-            pos += g
-            now += 1
-            dist = domain._dist(pos.T)
-            np.maximum(dist, 0.0, out=dist)
-            if trace:
-                history.append(pos[:, 0].copy())
-            # One jump can cross several widths at once; record them all at
-            # the same position, which realizes the first-crossing rule.
-            hit = (dist < thr_next[ptr]).nonzero()[0]
-            if not hit.size:
-                continue
-            while hit.size:
-                k, col = ptr[hit], idx[hit]
-                stops[k, col] = pos[:, hit].T
-                steps[k, col] = now - entry[hit]
-                ptr[hit] = k + 1
-                hit = hit[dist[hit] < thr_next[k + 1]]
-            keep = (ptr < nthr).nonzero()[0]
-            if keep.size == idx.size:
-                continue
-            idx, dist, entry, ptr = idx[keep], dist[keep], entry[keep], ptr[keep]
-            pos = pos.take(keep, axis=1)
-            live = keep if live is None else live[keep]
-            if not idx.size:
+        # Lanes per column of a ``_directions`` call, about 2 * _WIDTH in all.
+        span = max(unit, 2 * _WIDTH // idx.size // unit * unit)
+        going = idx.size  # walks not yet past their last threshold
+        # Entry of a walk at or before the oldest one still going, which
+        # has the lowest row of those going.
+        oldest = int(entry[0])
+        live = None  # columns of ``lanes`` and ``dirs`` in flight, once some have left
+        while lanes.size:
+            part = lanes[:span] if live is None else lanes[:span].take(live, axis=1)
+            # (dim, sub-step, walk in flight); the lanes are overwritten.
+            dirs = _directions(dim, part).T.reshape(dim, -1, idx.size)
+            lanes = lanes[span:] if live is None else lanes[span:].take(live, axis=1)
+            del part
+            live = None
+            for t in range(dirs.shape[1]):
+                if now - oldest >= max_steps:
+                    first = int((ptr < nthr).argmax())
+                    oldest = int(entry[first])
+                    if now - oldest >= max_steps:
+                        raise StepLimitExceeded(max_steps, _row_key(streams, int(idx[first])))
+                g = dirs[:, t] if live is None else dirs[:, t].take(live, axis=1)
+                g *= dist
+                pos += g
+                now += 1
+                dist = domain._dist(pos.T)
+                np.maximum(dist, 0.0, out=dist)
+                if trace:
+                    history.append(pos[:, 0].copy())
+                # One jump can cross several widths at once; record them all
+                # at the same position, which realizes the first-crossing rule.
+                hit = (dist < thr_next[ptr]).nonzero()[0]
+                if hit.size:
+                    crossed = hit
+                    while hit.size:
+                        k, col = ptr[hit], idx[hit]
+                        stops[k, col] = pos[:, hit].T
+                        steps[k, col] = now - entry[hit]
+                        ptr[hit] = k + 1
+                        hit = hit[dist[hit] < thr_next[k + 1]]
+                    going -= int(np.count_nonzero(ptr[crossed] == nthr))
+                end = not lanes.size and t == dirs.shape[1] - 1
+                if going < idx.size and (end or going <= _COMPACT_SHARE * idx.size):
+                    keep = (ptr < nthr).nonzero()[0]
+                    idx, dist, entry, ptr = idx[keep], dist[keep], entry[keep], ptr[keep]
+                    pos = pos.take(keep, axis=1)
+                    live = keep if live is None else live[keep]
+                    if not going:
+                        break
+            # Freed before the next directions (``g`` may be a view of
+            # ``dirs``), which would otherwise peak beside them.
+            del dirs, g
+            if not going:
                 break
-        # Freed before the next draw (``g`` may be a view of ``dirs``), which
-        # would otherwise peak beside them.
-        del dirs, g
+        # Even empty, a slice of the draw's lanes holds them through the next.
+        del lanes
 
 
 def run_many(
@@ -622,8 +689,8 @@ def run_many(
     thr = np.asarray(thresholds, dtype=np.float64)
     if thr.ndim != 1 or thr.size == 0:
         raise ValueError("need at least one stopping width")
-    if np.any(thr <= 0.0):
-        raise ValueError("stopping widths must be positive")
+    if not np.all(np.isfinite(thr) & (thr > 0.0)):
+        raise ValueError("stopping widths must be finite and positive")
     if np.any(np.diff(thr) > 0.0):
         raise ValueError("stopping widths must be nonincreasing")
     d0 = domain.distance_to_boundary(x0)

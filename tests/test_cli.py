@@ -81,6 +81,20 @@ class TestParseArgs:
             parse_args(["solve", "--eta", "1"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "--eps", "nan"], ["solve", "--eps", "inf"],
+         ["solve", "--method", "meas", "--eta", "nan"],
+         ["study-workerr", "--eps-list", "0.1,nan"]],
+        ids=["eps-nan", "eps-inf", "eta-nan", "eps-list-nan"],
+    )
+    def test_nonfinite_value_is_usage_error(self, argv):
+        """NaN passes every ordering check: unchecked, a NaN width ran its
+        walks into the step limit, a runtime error (exit 2)."""
+        with pytest.raises(SystemExit) as err:
+            parse_args(argv)
+        assert err.value.code == 1
+
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as err:
             parse_args(["solve", "--bogus", "3"])
@@ -314,7 +328,7 @@ class TestConfigEcho:
             assert main(argv + ["--format", "json", "--output", str(out)]) == 0
             doc = json.loads(out.read_text())
         assert set(doc["config"]) == _ECHOED[case] | {"stream_format"}
-        assert doc["config"]["stream_format"] == 3
+        assert doc["config"]["stream_format"] == 4
 
 
 class TestTraceCommand:

@@ -75,6 +75,31 @@ class TestLadder:
         with pytest.raises(ValueError):
             build_ladder(0.2, 2.0, 0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_ladder_rejects_nonfinite_eta_and_widths(self, bad):
+        with pytest.raises(ValueError, match="eta must be finite"):
+            Ladder(eta=bad, eps=(0.1,))
+        with pytest.raises(ValueError, match="widths must be finite"):
+            Ladder(eta=2.0, eps=(bad,))
+        with pytest.raises(ValueError, match="widths must be finite"):
+            Ladder(eta=2.0, eps=(0.1, bad))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_build_ladder_rejects_nonfinite_inputs(self, bad):
+        with pytest.raises(ValueError, match="widths must be finite"):
+            build_ladder(bad, 2.0, 0.1)
+        with pytest.raises(ValueError, match="widths must be finite"):
+            build_ladder(0.01, 2.0, bad)
+        with pytest.raises(ValueError, match="eta must be finite"):
+            build_ladder(0.01, bad, 0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_default_ladder_rejects_nonfinite_inputs(self, bad):
+        with pytest.raises(ValueError, match="widths must be finite"):
+            default_ladder(SQUARE, bad, 16.0)
+        with pytest.raises(ValueError, match="eta must be finite"):
+            default_ladder(SQUARE, 1e-3, bad)
+
     @pytest.mark.parametrize("eps", [0.0, -0.01])
     def test_default_ladder_rejects_nonpositive_target(self, eps):
         with pytest.raises(ValueError, match="positive"):
@@ -250,6 +275,13 @@ class TestMcEstimate:
         with pytest.raises(ValueError):
             mc_estimate(SQUARE, 0.05, m=1)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_rejects_nonfinite_eps(self, eps):
+        """A NaN width compares false against every bound: unchecked, its
+        walks never stop and run into the step limit."""
+        with pytest.raises(ValueError, match="finite"):
+            mc_estimate(SQUARE, eps, seed=1, threads=1)
+
 
 class TestMlmcEstimate:
     def test_single_level_plan_matches_mc(self):
@@ -332,6 +364,13 @@ class TestAdaptiveMlmc:
     def test_rejects_small_warmup(self):
         with pytest.raises(ValueError):
             adaptive_mlmc(SQUARE, 0.01, 2.0, warmup=1)
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_rejects_nonfinite_eta(self, eta):
+        """Unchecked, a NaN eta builds a one-level ladder and runs plain
+        WOS under the MEAS name."""
+        with pytest.raises(ValueError, match="eta must be finite"):
+            adaptive_mlmc(SQUARE, 0.1, eta=eta, seed=1, threads=1)
 
 
 class TestReportSchema:
@@ -432,9 +471,11 @@ class TestSampleLevel:
     )
     def test_traced_peak_per_walk(self, problem, widths, bound, traced_peak):
         """A level of 12 engine widths of walks on one thread peaks at most
-        ``bound`` traced bytes per walk: 39.4 measured on the square, 80.0
-        for hemisphere pairs. The exits and steps (24 and 64 bytes per walk)
-        are the only full-size arrays held together: the stops are projected
+        ``bound`` traced bytes per walk: 38.8 measured on the square, 79.4
+        for hemisphere pairs (39.4 and 80.0 at stream format 3; making a
+        format-4 draw's directions all at once peaks at 44.1 and 82.7). The
+        exits and steps (24 and 64 bytes per walk) are the only full-size
+        arrays held together: the stops are projected
         in place, a width of rows at a time, and the steps are summed and
         freed before boundary data is read in chunks. Keeping the stops
         beside the exits peaks at 43.3 and 116.7."""

@@ -150,6 +150,10 @@ class TestPdivStudy:
         with pytest.raises(ValueError):
             pdiv_study(SQUARE, [0.4], radius=0.3, m=100)
 
+    def test_rejects_empty_eps_list(self):
+        with pytest.raises(ValueError, match="eps_list"):
+            pdiv_study(SQUARE, [], radius=0.3, m=100)
+
 
 class TestWorkErrorStudy:
     def test_requires_reference(self):
@@ -201,3 +205,11 @@ class TestWorkErrorStudy:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
             work_error_study(SQUARE, ["XYZ"], [0.1], eta=2.0, reps=5)
+
+    def test_rejects_empty_methods(self):
+        with pytest.raises(ValueError, match="methods"):
+            work_error_study(SQUARE, [], [0.1], eta=2.0, reps=5)
+
+    def test_rejects_empty_eps_targets(self):
+        with pytest.raises(ValueError, match="eps_targets"):
+            work_error_study(SQUARE, ["WOS"], [], eta=2.0, reps=5)

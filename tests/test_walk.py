@@ -12,8 +12,8 @@ from mlwos.walk import StepLimitExceeded, StreamKey, philox4x64, run_many, trace
 
 SQUARE = Square()
 
-# (domain, start) pairs covering every stride shape: 1-d and 2-d take four
-# steps per Philox block, 3-d two, 4-d one, 5-d two steps per three blocks.
+# (domain, start) pairs covering every stride shape: 1-d and 2-d take eight
+# steps per Philox block, 3-d four, 4-d one, 5-d two steps per three blocks.
 CASES = st.sampled_from([
     (Ball(1), (0.3,)),
     (SQUARE, (0.7, 1.2)),
@@ -88,9 +88,22 @@ def _uniforms(lanes):
 
 def _stream_directions(dim, key, n):
     """The first ``n`` directions of stream ``key``, as (n, dim)."""
-    lanes_per_step = walk._lanes_per_direction(dim)
-    lanes = _lanes(key, -(-n * lanes_per_step // 4))[:n * lanes_per_step]
-    return walk._directions(dim, lanes[:, None])
+    lanes = -(-n * walk._words_per_direction(dim) // 2)
+    return walk._directions(dim, _lanes(key, -(-lanes // 4))[:lanes, None])[:n]
+
+
+def _words(lanes):
+    """The 32-bit words of ``lanes`` along the first axis, each lane's high
+    half first, as uint64."""
+    words = np.empty((2 * lanes.shape[0],) + lanes.shape[1:], dtype=np.uint64)
+    words[0::2] = lanes >> np.uint64(32)
+    words[1::2] = lanes & np.uint64(2 ** 32 - 1)
+    return words
+
+
+def _join(words):
+    """The lanes of ``words`` along the first axis, the inverse of ``_words``."""
+    return (words[0::2] << np.uint64(32)) | words[1::2]
 
 
 class TestPhiloxKernel:
@@ -174,14 +187,16 @@ class TestPhiloxKernel:
 
     def test_traced_peak_of_a_full_width_planar_call(self, traced_peak):
         """One 2-D ``run_many`` of 16384 walks, the engine's full width,
-        peaks at 3.07 MiB traced (in its first direction draw, with the
-        unit-circle temporaries of one 16384-element chunk), below 3.1 MiB.
-        Directions are written straight into their output, and a draw's
-        directions are freed before the next draw. Gathering table rows in
-        ``take``'s default mode, which buffers ``out``, peaks at 3.13 MiB.
-        At stream format 2 a separate angle temporary in ``_directions``
-        peaked at 3.19, keeping the last draw's directions through the next
-        draw at 3.57, and making the exits before the walks at 3.26."""
+        peaks at 3.07 MiB traced, below 3.1 MiB: a draw's eight steps per
+        walk are kept as lanes and made into directions four steps at a
+        time, so its direction array is a format-3 draw's (making all eight
+        at once peaks at 4.07). Directions are written straight into their
+        output, and each batch of them is freed before the next. Gathering
+        table rows in ``take``'s default mode, which buffers ``out``, peaked
+        at 3.13 MiB at format 3. At stream format 2 a separate angle
+        temporary in ``_directions`` peaked at 3.19, keeping the last draw's
+        directions through the next draw at 3.57, and making the exits
+        before the walks at 3.26."""
         peak = traced_peak(
             lambda: run_many(SQUARE, (1.0, 1.0), [1e-2], master_seed=3, count=walk._WIDTH,
                              threads=1)
@@ -287,15 +302,17 @@ def _box_muller_reference(lanes):
     return out
 
 
-def _lane_formula_reference(dim, lanes):
-    """Directions of 1-D to 3-D from one step's lanes, as (dim, rows): the
-    sign of the top bit; the angle 2 pi u; z = 2u - 1 and azimuth 2 pi v."""
+def _word_formula_reference(dim, words):
+    """Directions of 1-D to 3-D from one step's 32-bit words ``w``, as (dim,
+    rows): the sign of the top bit; the unit-circle point at 2 pi w / 2^32,
+    the format-3 formula of the 53 bits ``w << 21``; z = 2 w / 2^32 - 1 and
+    the azimuth of the second word."""
     if dim == 1:
-        return np.where(lanes[:1] >> np.uint64(63), -1.0, 1.0)
-    cos, sin = _circle_reference(lanes[-1] >> np.uint64(11))
+        return np.where(words[:1] >> np.uint64(31), -1.0, 1.0)
+    cos, sin = _circle_reference(words[-1] << np.uint64(21))
     if dim == 2:
         return np.stack([cos, sin])
-    z = 2.0 * ((lanes[0] >> np.uint64(11)) * 2.0 ** -53) - 1.0
+    z = 2.0 * (words[0] * 2.0 ** -32) - 1.0
     r = np.sqrt(1.0 - z * z)
     return np.stack([r * cos, r * sin, z])
 
@@ -315,7 +332,7 @@ EDGE_WORDS = np.array(
 
 
 class TestCircle:
-    """Unit-circle points of stream format 3 (``walk._circle``)."""
+    """Unit-circle points (``walk._circle``), unchanged since stream format 3."""
 
     @pytest.fixture(scope="class")
     def words(self):
@@ -369,9 +386,10 @@ class TestCircle:
         np.testing.assert_array_equal(whole, parts)
 
     def test_strided_rows(self):
-        """Rows of ``m`` may be strided, as the 3-D azimuth lanes are."""
+        """Rows of ``m`` and of the outputs may be strided, as the words
+        and steps of 1-D and 2-D directions are."""
         words = np.random.default_rng(5).integers(0, 2 ** 53, (40, 2, 300), dtype=np.uint64)
-        cos, sin = np.empty((2, 40, 300))
+        cos, sin = np.empty((2, 80, 300))[:, 1::2]
         with mock.patch.object(walk, "_CIRCLE_CHUNK", 1000):
             walk._circle(words.copy()[:, 1], cos, sin)
         ref = _circle_reference(words[:, 1])
@@ -382,23 +400,45 @@ class TestCircle:
 class TestUniformDirection:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_directions_match_lane_formulas(self, dim):
-        """Step ``t`` of column ``r`` is the direction of its own ``L`` lanes
-        by the formula of its dimension, bit for bit."""
-        lanes_per_step, steps, rows = walk._lanes_per_direction(dim), 5, 7
-        assert lanes_per_step == (1, 1, 2)[dim - 1]
+        """Step ``t`` of column ``r`` is the direction of its own ``W`` words
+        (32-bit halves of the lanes, high half first) by the formula of its
+        dimension, bit for bit, edge words included."""
+        words_per_step, rows = walk._words_per_direction(dim), 7
+        assert words_per_step == (1, 1, 2)[dim - 1]
         rng = np.random.default_rng(dim)
-        lanes = rng.integers(0, 2 ** 64, (steps * lanes_per_step, rows), dtype=np.uint64)
-        got = walk._directions(dim, lanes.copy())
+        words = rng.integers(0, 2 ** 32, (10, rows), dtype=np.uint64)
+        words[:8, 0] = [0, 2 ** 32 - 1, 2 ** 31, 2 ** 31 - 1, 1, 2 ** 20, 2 ** 20 - 1, 2 ** 30]
+        got = walk._directions(dim, _join(words))
+        steps = 10 // words_per_step
         assert got.shape == (steps * rows, dim)
         for t in range(steps):
-            ref = _lane_formula_reference(dim, lanes[t * lanes_per_step:(t + 1) * lanes_per_step])
+            ref = _word_formula_reference(dim, words[t * words_per_step:(t + 1) * words_per_step])
             np.testing.assert_array_equal(got[t * rows:(t + 1) * rows], ref.T)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_direction_reads_only_its_own_words(self, dim):
+        """Direction ``t`` of a stream depends on its words ``t*W`` to
+        ``(t+1)*W - 1`` alone: column ``r`` holds stream B's words but
+        step ``r``'s, which are stream A's, and its step ``r`` is A's
+        direction ``r`` while every other step is B's."""
+        words_per_step, steps = walk._words_per_direction(dim), 12
+        a, b = (_words(_lanes(StreamKey(8, context=c), 3)[:, None]) for c in (1, 2))
+        mixed = np.repeat(b, steps, axis=1)
+        for r in range(steps):
+            at = slice(r * words_per_step, (r + 1) * words_per_step)
+            mixed[at, r] = a[at, 0]
+        n = steps * words_per_step // 2
+        got = walk._directions(dim, _join(mixed)[:n]).reshape(-1, steps, dim)
+        want_a, want_b = (walk._directions(dim, _join(w)[:n]) for w in (a, b))
+        for r in range(steps):
+            for t in range(steps):
+                np.testing.assert_array_equal(got[t, r], (want_a if t == r else want_b)[t])
 
     @pytest.mark.parametrize("dim", [4, 5])
     def test_directions_match_box_muller_reference(self, dim):
         """Step ``t`` of column ``r`` is the normalized first ``dim``
         normals of its own ``L`` lanes, bit for bit, in odd dimensions too."""
-        lanes_per_step, steps, rows = walk._lanes_per_direction(dim), 3, 7
+        lanes_per_step, steps, rows = walk._words_per_direction(dim) // 2, 3, 7
         rng = np.random.default_rng(dim)
         lanes = rng.integers(0, 2 ** 64, (steps * lanes_per_step, rows), dtype=np.uint64)
         got = walk._directions(dim, lanes.copy())
@@ -474,6 +514,13 @@ class TestWosWalk:
         with pytest.raises(ValueError, match="stopping width"):
             run_many(SQUARE, (1.0, 1.0), [1.0], master_seed=0)
 
+    @pytest.mark.parametrize("widths", [[math.nan], [0.1, math.nan], [math.inf, 0.1]])
+    def test_rejects_nonfinite_widths(self, widths):
+        """Every other width check is false for NaN: unchecked, the walks
+        never stop and run into the step limit."""
+        with pytest.raises(ValueError, match="finite"):
+            run_many(SQUARE, (1.0, 1.0), widths, master_seed=0, count=4)
+
     def test_step_limit_signals_sample(self):
         with pytest.raises(StepLimitExceeded) as err:
             run_many(SQUARE, (1.0, 1.0), [1e-8], master_seed=0, start_index=40, count=4, max_steps=3)
@@ -484,33 +531,41 @@ class TestWosWalk:
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_step_limit_reports_lowest_failing_sample(self, width, threads):
         """At full width the 300 walks enter at once and their draws cover
-        steps 1-4, 5-12, 13-28 and 29-60: the limits 5 and 16 fall inside
-        grown draws, 12 on a draw boundary.
+        steps 1-8, 9-24 and 25-56: the limits 12 and 16 fall inside a grown
+        draw, 8 on a draw boundary. Finished walks that keep their slots
+        (the default rule, and dropping them only at a draw's end) do not
+        hide the lowest failing walk, nor does dropping them at once.
 
         Then no walk fails in rows 0-149, which hold range 0 of every split
         (the calling thread's), so the error comes from a pool worker: the
         lowest failing row lies in range 1 of a 2- or 3-way split, and range
         2 of a 3-way split fails too."""
-        args = dict(master_seed=3, context=7, level=2, start_index=101, count=300)
+        args = dict(master_seed=3, context=7, level=2, start_index=90, count=300)
 
         def raised(max_steps, **args):
-            with _width(width), pytest.raises(StepLimitExceeded) as err:
-                run_many(
-                    SQUARE, (1.0, 1.0), [1e-2], max_steps=max_steps, threads=threads, **args
-                )
-            assert (err.value.master_seed, err.value.context, err.value.level) == (3, 7, 2)
-            assert err.value.max_steps == max_steps
-            return err.value
+            errors = []
+            for share in (0.0, walk._COMPACT_SHARE, 1.0):
+                with _width(width), mock.patch.object(walk, "_COMPACT_SHARE", share), \
+                        pytest.raises(StepLimitExceeded) as err:
+                    run_many(
+                        SQUARE, (1.0, 1.0), [1e-2], max_steps=max_steps, threads=threads, **args
+                    )
+                errors.append(err.value)
+            assert len({e.key for e in errors}) == 1
+            err = errors[0]
+            assert (err.master_seed, err.context, err.level) == (3, 7, 2)
+            assert err.max_steps == max_steps
+            return err
 
         ref = run_many(SQUARE, (1.0, 1.0), [1e-2], **args)
-        for max_steps in (5, 12, 16):
+        for max_steps in (8, 12, 16):
             failing = np.flatnonzero(ref.steps[-1] > max_steps)
             # Sample 0 finishes, and failures lie in every range of a 3-way split.
             assert failing[0] > 0
             assert np.array_equal(np.unique(failing // 100), [0, 1, 2])
             err = raised(max_steps, **args)
-            assert err.key == StreamKey(3, 7, 2, 101 + int(failing[0]))
-            assert err.sample_index == 101 + int(failing[0])
+            assert err.key == StreamKey(3, 7, 2, 90 + int(failing[0]))
+            assert err.sample_index == 90 + int(failing[0])
 
         # Rows 0-149 are the first 150 walks of samples 0-999 that finish
         # within 12 steps, rows 150-299 samples 1000-1149.
@@ -661,6 +716,22 @@ class TestEngineProperties:
         _assert_same(whole, refilled)
 
     @PROPERTY
+    @given(case=CASES, fractions=FRACTIONS, count=st.integers(1, 150),
+           width=st.sampled_from([1, 5, 64, walk._WIDTH]), share=st.sampled_from([0.0, 1.0]),
+           seed=SEEDS)
+    def test_compaction_rule_invariance(self, case, fractions, count, width, share, seed):
+        """Dropping finished walks after every sub-step on which one
+        finished (share 1), or only at a draw's end (share 0), gives the
+        default rule's exits and steps bit for bit."""
+        domain, x0 = case
+        thr = _thresholds(domain, x0, fractions)
+        with _width(width):
+            default = run_many(domain, x0, thr, master_seed=seed, count=count, threads=1)
+            with mock.patch.object(walk, "_COMPACT_SHARE", share):
+                patched = run_many(domain, x0, thr, master_seed=seed, count=count, threads=1)
+        _assert_same(default, patched)
+
+    @PROPERTY
     @given(case=CASES, fractions=FRACTIONS, count=st.integers(1, 120),
            width=st.sampled_from([5, 64]), seed=SEEDS)
     def test_thread_count_invariance(self, case, fractions, count, width, seed):
@@ -760,22 +831,23 @@ class TestEngineProperties:
            seed=SEEDS)
     def test_single_walk_matches_stepwise_loop(self, case, fraction, index, seed):
         """One walk at any seed and sample index matches a loop that takes
-        step ``t``'s direction from lanes ``t*L`` to ``t*L + L - 1`` of its
-        stream, one step at a time."""
+        step ``t``'s direction from words ``t*W`` to ``t*W + W - 1`` of its
+        stream, one step at a time: from the lanes that hold them, of
+        which a 1-D or 2-D step's lane gives two directions."""
         domain, x0 = case
         eps = fraction * domain.distance_to_boundary(x0)
         key = StreamKey(seed, context=2, level=5, sample_index=index)
         res = run_many(
             domain, x0, [eps], master_seed=seed, context=2, level=5, start_index=index
         )
-        lanes_per_step = walk._lanes_per_direction(domain.dim)
+        words = walk._words_per_direction(domain.dim)
         pos = np.asarray(x0, dtype=np.float64)
         dist = domain._dist(pos[None, :])[0]
         steps = 0
         while dist >= eps:
-            lo, hi = steps * lanes_per_step, (steps + 1) * lanes_per_step
+            lo, hi = steps * words // 2, -(-(steps + 1) * words // 2)
             step = _lanes(key, hi // 4 + 1)[lo:hi, None]
-            pos = pos + dist * walk._directions(domain.dim, step)[0]
+            pos = pos + dist * walk._directions(domain.dim, step)[steps * words % 2]
             dist = max(domain._dist(pos[None, :])[0], 0.0)
             steps += 1
         np.testing.assert_array_equal(res.exits[0, 0], domain._proj(pos[None, :])[0])
@@ -821,7 +893,8 @@ class TestTailLookahead:
         ids=["square", "ball1", "hemisphere", "ball5"],
     )
     def test_lanes_drawn_within_doubling_bound(self, domain, x0, eps, monkeypatch):
-        """Lanes drawn <= 2 * lanes used + one stride per walk.
+        """Words drawn <= 2 * words used + one stride per walk, counted in
+        32-bit words, two per lane.
 
         Every draw but a walk's last is used in full. A walk's last draw is
         at most one stride longer than all its earlier draws together: true
@@ -839,21 +912,21 @@ class TestTailLookahead:
             return out
 
         monkeypatch.setattr(walk, "philox4x64", counted)
-        lanes = walk._lanes_per_direction(domain.dim)
-        stride = math.lcm(lanes, 4) // lanes
+        words = walk._words_per_direction(domain.dim)
+        stride = math.lcm(words, 8) // words
         for count, width in ((1, walk._WIDTH), (300, walk._WIDTH), (300, 64)):
             blocks.clear()
             with _width(width):
                 batch = run_many(domain, x0, [eps], master_seed=17, count=count)
-            used = lanes * int(batch.steps[-1].sum())
-            assert used <= 4 * sum(blocks) <= 2 * used + stride * lanes * count
-            assert 4 * max(blocks) <= width * stride * lanes
+            used = words * int(batch.steps[-1].sum())
+            assert used <= 8 * sum(blocks) <= 2 * used + stride * words * count
+            assert 8 * max(blocks) <= width * stride * words
             if count <= width:
                 need = -(-batch.steps[-1] // stride)
                 want, done, reach = [], 0, 1
                 while rows := int(np.count_nonzero(need > done)):
                     reach = min(reach, width // rows)
-                    want.append(rows * reach * stride * lanes // 4)
+                    want.append(rows * reach * stride * words // 8)
                     done += reach
                     reach *= 2
                 assert blocks == want
