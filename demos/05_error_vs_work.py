@@ -2,13 +2,16 @@
 
 WOS is plain walk-on-spheres with equilibrated sample counts, MLWOS the
 multilevel estimator with sample counts from modeled decay rates, MEAS the
-multilevel estimator with measured allocation. Every cell is several full
-runs under different stream contexts; the error is measured against the
-finite-difference reference value.
+multilevel estimator with measured allocation, which also drops each
+coarse level whose warm-up shows it does not pay. Every cell is several
+full runs under different stream contexts; the error is measured against
+the finite-difference reference value.
 
 At these coarse error targets the paths are only a handful of steps long,
-so the multilevel estimators have little room to save work; their advantage
-grows as the target shrinks and fine paths lengthen.
+so a multilevel ladder has little room to save work. MLWOS runs its
+a-priori ladder anyway; MEAS mostly keeps only the finest width there, and
+so spends about what WOS spends plus a small warm-up. The multilevel
+advantage grows as the target shrinks and fine paths lengthen.
 """
 
 from mlwos import get_problem, work_error_study

@@ -26,19 +26,22 @@ for t, rep in zip((1, 2, 8), reports):
     print(f"  threads={t}: value={rep.value!r} work={rep.total_steps}")
 assert len({rep.value for rep in reports}) == 1
 
-# replay one sample of the level-0 population by its key alone: seed 11,
-# the estimator's stream context, level 0 and the sample index
-rep, index = reports[0], 1_000
-assert index < rep.m[0]
+# replay one sample of the coarsest summed level by its key alone: seed 11,
+# the estimator's stream context, the level's stream level (one per coarser
+# level the estimator dropped) and the sample index
+rep = reports[0]
+level, index = len(rep.dropped), rep.m[0] // 2
 [(population, _)] = sample_level(
-    problem, (rep.eps[0],), [(stream_context(0), 0, rep.m[0])], seed=11, threads=1
+    problem, (rep.eps[0],), [(stream_context(0), 0, rep.m[0])], seed=11, level=level,
+    threads=1,
 )
 assert population.mean() == rep.level_stats[0].mean  # the estimate's own samples
 one = run_many(
     problem.domain, problem.start, [rep.eps[0]], master_seed=11,
-    context=stream_context(0), level=0, start_index=index, count=1,
+    context=stream_context(0), level=level, start_index=index, count=1,
 )
 value = problem.bc(one.exits[0, 0])
 assert value == population[index]
-print(f"\nlevel-0 sample {index} of {rep.m[0]} at width {rep.eps[0]:g} replayed from its key:")
+print(f"\nsample {index} of {rep.m[0]} at width {rep.eps[0]:g} (stream level {level}) "
+      "replayed from its key:")
 print(f"  {one.steps[0, 0]} steps, exit {np.round(one.exits[0, 0], 5)}, value {value:.6f}")

@@ -31,6 +31,7 @@ from .estimator import (
     allocation_targets,
     auto_sample_count,
     build_ladder,
+    coarsest_level,
     default_ladder,
     mc_estimate,
     mlmc_estimate,

@@ -96,6 +96,8 @@ class RunConfig:
             raise ValueError("--eps must be finite and positive")
         if not (math.isfinite(self.eta) and self.eta > 1.0):
             raise ValueError("--eta must be finite and exceed 1")
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise ValueError("--radius must be finite and positive")
         walk.resolve_threads(self.threads)  # rejects a bad --threads or MLWOS_THREADS
         if self.reps < 1:
             raise ValueError("--reps must be at least 1")

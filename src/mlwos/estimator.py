@@ -7,7 +7,8 @@ Three sample-allocation strategies are implemented:
 * multilevel with sample counts from modeled variance/work decay rates
   (``model_allocation`` feeding ``mlmc_estimate``);
 * multilevel with sample counts from warm-up measurements of variance and
-  work per level (``adaptive_mlmc``).
+  work per level (``adaptive_mlmc``), which also drops each coarse level
+  whose warm-up shows it does not pay (``coarsest_level``).
 
 Work is counted in walk steps. All estimators are deterministic functions
 of (problem, parameters, seed) regardless of thread count. ``solve_reps``
@@ -39,6 +40,7 @@ __all__ = [
     "allocation_targets",
     "optimal_allocation",
     "model_allocation",
+    "coarsest_level",
     "mc_estimate",
     "mlmc_estimate",
     "adaptive_mlmc",
@@ -240,10 +242,39 @@ def model_allocation(v0: float, w0: float, ladder: Ladder) -> list:
     return optimal_allocation(v, w, ladder.eps[-1])
 
 
+def coarsest_level(costs, pairs) -> int:
+    """The level a measured ladder keeps as its coarsest.
+
+    ``costs[l]`` is level ``l``'s mean steps per sample, and ``pairs[l - 1]``
+    holds three sample variances of level ``l``'s coupled pairs: of the
+    corrections, V_l, of the coarse values, P_{l-1}, and of the fine values,
+    P_l, the last two those of plain samples at ``eps_{l-1}`` and ``eps_l``.
+    Starting from level 0, the coarsest level ``b`` is dropped, and ``b + 1``
+    read as plain, while
+    sqrt(P_b C_b) + sqrt(V_{b+1} C_{b+1}) >= sqrt(P_{b+1} C_{b+1}): under the
+    MLMC cost (sum_l sqrt(V_l C_l))^2, level ``b`` and the correction above
+    it cost at least what a plain level at ``eps_{b+1}`` costs. A tie drops
+    the level, so all-zero variances keep only the finest. The three
+    variances of one test come from the same walks, so their noise largely
+    cancels in the comparison.
+    """
+    base = 0
+    for level, (correction, coarse, fine) in enumerate(pairs, 1):
+        kept = math.sqrt(coarse * costs[level - 1]) + math.sqrt(correction * costs[level])
+        if kept < math.sqrt(fine * costs[level]):
+            break
+        base = level
+    return base
+
+
 @dataclass
 class EstimateReport:
     """A point estimate with its per-level bookkeeping.
 
+    ``eps``, ``m`` and ``level_stats`` describe the levels that are summed,
+    numbered from 0 at the coarsest. ``dropped`` holds ``(eps, steps)`` for
+    each coarser level that MEAS warmed up and dropped (see
+    :func:`coarsest_level`); those warm-up steps count in ``total_steps``.
     ``stat_error`` is sqrt(sum_l variance_l / count_l); the discretization
     component is bounded by the finest stopping width, ``eps_target``, up
     to an unknown constant. ``wall_time`` is measured; ``to_dict`` writes
@@ -260,9 +291,10 @@ class EstimateReport:
     stat_error: float
     seed: int
     wall_time: float = 0.0
+    dropped: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
+        doc = {
             "value": self.value,
             "eps_target": self.eps_target,
             "eta": self.eta,
@@ -277,6 +309,11 @@ class EstimateReport:
                 }
                 for st in self.level_stats
             ],
+        }
+        if self.dropped:  # only MEAS drops levels, and only some runs
+            doc["dropped"] = [{"eps": e, "warmup_steps": w} for e, w in self.dropped]
+        return {
+            **doc,
             "total_steps": self.total_steps,
             "stat_error": self.stat_error,
             "seed": self.seed,
@@ -285,7 +322,7 @@ class EstimateReport:
 
 
 def sample_level(problem: Problem, widths, segments, *, seed: int, level: int = 0,
-                 threads: Optional[int] = None) -> list:
+                 threads: Optional[int] = None, fine: bool = False) -> list:
     """One ``(values, work)`` per ``(context, start_index, count)`` in
     ``segments``: samples ``start_index`` to ``start_index + count - 1`` of
     one level, drawn from the streams (``seed``, ``context``, ``level``).
@@ -294,7 +331,11 @@ def sample_level(problem: Problem, widths, segments, *, seed: int, level: int = 
     ``widths=(coarse, fine)`` gives the coupled corrections
     bc(fine exit) - bc(coarse exit). ``work`` is the int total of the
     segment's steps to the finest record in both cases. ``context`` is a
-    whole stream context word, as :func:`stream_context` makes.
+    whole stream context word, as :func:`stream_context` makes. With
+    ``fine=True`` each entry is ``(values, work, fine_values)``, the last
+    the boundary values at the fine exits: the plain samples at the fine
+    width that the same walks give. They are ``values`` itself for
+    ``(eps,)`` and a second array only for pairs.
 
     Segments are packed, in order, into ``walk.run_many`` calls of at most
     ``_PACK_WALKS`` walks; a segment larger than that is a call of its own.
@@ -331,13 +372,15 @@ def sample_level(problem: Problem, widths, segments, *, seed: int, level: int = 
         exits, work = batch.exits, np.add.reduceat(batch.steps[-1], at[:-1]).tolist()
         del batch
         values = np.empty(at[-1])
+        fines = np.empty(at[-1]) if fine and len(widths) == 2 else values
         for a in range(0, values.size, _BC_ROWS):
             rows = slice(a, a + _BC_ROWS)
-            values[rows] = problem.bc(exits[-1, rows])
+            fines[rows] = problem.bc(exits[-1, rows])
             if len(widths) == 2:
-                values[rows] -= problem.bc(exits[0, rows])
+                np.subtract(fines[rows], problem.bc(exits[0, rows]), out=values[rows])
         del exits  # not held through the next pack's call
-        out += [(values[a:b], w) for a, b, w in zip(at[:-1], at[1:], work)]
+        for a, b, w in zip(at[:-1], at[1:], work):
+            out.append((values[a:b], w, fines[a:b]) if fine else (values[a:b], w))
     return out
 
 
@@ -345,41 +388,73 @@ class _Levels:
     """Every level's samples drawn so far, for the widths ``eps``, of R
     replicas that run in lockstep, one per stream context word.
 
-    ``values[r][l]`` holds samples 0 to n - 1 of level ``l`` of replica
-    ``r``, from the streams (``seed``, ``contexts[r]``, ``l``): plain
-    boundary values at ``eps[0]`` on level 0, coupled corrections between
-    ``eps[l - 1]`` and ``eps[l]`` above. ``work[r][l]`` is the int total
-    of their steps. Samples are only ever appended, and each is a function
-    of its own stream, so a level topped up in several steps, alone or
-    together with other replicas, holds the same samples and work as one
-    drawn at once.
+    Replica ``r`` sums levels ``base[r]`` to the finest; its base is 0
+    until :meth:`drop_coarse` moves it up. ``values[r][l]`` holds samples
+    0 to n - 1 of level ``l`` of replica ``r``, from the streams (``seed``,
+    ``contexts[r]``, ``l``): plain boundary values at ``eps[l]`` on the
+    base level, coupled corrections between ``eps[l - 1]`` and ``eps[l]``
+    above, none on a dropped level. ``work[r][l]`` is the int total of
+    their steps, a dropped level's warm-up included. A store made with
+    ``pending=True`` also keeps, in ``fine[r][l]``, the fine values of each
+    level's pairs until :meth:`drop_coarse` reads them. Samples are only
+    ever appended, and each is a function of its own stream (a pair's fine
+    record is the same walk as a plain walk to its fine width), so a level
+    topped up in several steps, alone or together with other replicas,
+    holds the same samples and work as one drawn at once.
     """
 
-    def __init__(self, problem, eps, seed, contexts, threads):
+    def __init__(self, problem, eps, seed, contexts, threads, pending=False):
         self.problem = problem
         self.eps = tuple(eps)
         self.contexts = list(contexts)
         self.stream = dict(seed=seed, threads=threads)
         self.values = [[np.empty(0)] * len(self.eps) for _ in self.contexts]
         self.work = [[0] * len(self.eps) for _ in self.contexts]
+        self.base = [0] * len(self.contexts)
+        self.fine = [[np.empty(0)] * len(self.eps) for _ in self.contexts] if pending else None
 
     def top_up(self, level: int, need):
         """Draw each replica's next samples of level ``level``, up to sample
-        ``need[r] - 1`` for replica ``r``, in one :func:`sample_level` call
-        with a segment per replica that needs any."""
+        ``need[r] - 1`` for replica ``r``, with a segment per replica that
+        needs any: plain walks where ``level`` is the replica's base, pairs
+        above it, one :func:`sample_level` call for each. A level below the
+        base draws nothing."""
         have = [values[level].size for values in self.values]
-        grow = [r for r, n in enumerate(need) if n > have[r]]
-        segments = [(self.contexts[r], have[r], need[r] - have[r]) for r in grow]
-        widths = self.eps[max(level - 1, 0):level + 1]
-        drawn = sample_level(self.problem, widths, segments, level=level, **self.stream)
-        for r, (v, w) in zip(grow, drawn):
-            self.values[r][level] = np.concatenate([self.values[r][level], v])
-            self.work[r][level] += w
+        grow = [r for r, n in enumerate(need) if n > have[r] and level >= self.base[r]]
+        keep = self.fine is not None
+        for plain in (True, False):
+            group = [r for r in grow if (level == self.base[r]) == plain]
+            if not group:
+                continue
+            segments = [(self.contexts[r], have[r], need[r] - have[r]) for r in group]
+            widths = self.eps[level if plain else level - 1:level + 1]
+            drawn = sample_level(self.problem, widths, segments, level=level, fine=keep,
+                                 **self.stream)
+            for r, (v, w, *fine) in zip(group, drawn):
+                self.values[r][level] = np.concatenate([self.values[r][level], v])
+                self.work[r][level] += w
+                if keep and not plain:
+                    self.fine[r][level] = np.concatenate([self.fine[r][level], *fine])
+
+    def drop_coarse(self):
+        """Move each replica's base up as far as :func:`coarsest_level`
+        says from its samples so far, make the new base level's fine values
+        its samples, and free every level's fine values."""
+        for r, fine in enumerate(self.fine):
+            values = self.values[r]
+            pairs = [(np.var(v, ddof=1), np.var(f - v, ddof=1), np.var(f, ddof=1))
+                     for v, f in zip(values[1:], fine[1:])]
+            base = coarsest_level([st.mean_steps for st in self.stats(r)], pairs)
+            if base:
+                values[:base + 1] = [np.empty(0)] * base + [fine[base]]
+                self.base[r] = base
+        self.fine = None
 
     def stats(self, r: int) -> list:
-        """Replica ``r``'s :class:`LevelStats`, one per level."""
-        out = []
-        for level, (v, w) in enumerate(zip(self.values[r], self.work[r])):
+        """Replica ``r``'s :class:`LevelStats`, one per level it sums,
+        numbered from 0 at its base."""
+        base, out = self.base[r], []
+        for level, (v, w) in enumerate(zip(self.values[r][base:], self.work[r][base:])):
             mean = float(np.mean(v))
             m2 = float(np.sum((v - mean) ** 2))
             out.append(LevelStats(level, v.size, mean, m2, w / v.size))
@@ -387,29 +462,31 @@ class _Levels:
 
     def allocation(self, r: int) -> list:
         """Replica ``r``'s optimal counts at the finest width from each
-        level's measured variance and mean steps."""
+        summed level's measured variance and mean steps, and 0 for each
+        dropped level."""
         stats = self.stats(r)
-        return optimal_allocation([st.variance for st in stats],
-                                  [st.mean_steps for st in stats], self.eps[-1])
+        return [0] * self.base[r] + optimal_allocation(
+            [st.variance for st in stats], [st.mean_steps for st in stats], self.eps[-1])
 
     def reports(self, eta: Optional[float], t0: float) -> list:
         """One report per replica; each ``wall_time`` is the whole lockstep
         run's."""
         wall = time.perf_counter() - t0
         out = []
-        for r, work in enumerate(self.work):
+        for r, (work, base) in enumerate(zip(self.work, self.base)):
             stats = self.stats(r)
             out.append(EstimateReport(
                 value=float(sum(st.mean for st in stats)),
                 eps_target=float(self.eps[-1]),
                 eta=eta,
-                eps=self.eps,
+                eps=self.eps[base:],
                 m=tuple(st.count for st in stats),
                 level_stats=stats,
                 total_steps=sum(work),
                 stat_error=math.sqrt(sum(st.variance / st.count for st in stats)),
                 seed=self.stream["seed"],
                 wall_time=wall,
+                dropped=tuple(zip(self.eps[:base], work[:base])),
             ))
         return out
 
@@ -448,10 +525,11 @@ def _meas(problem, eps_target, eta, warmup, seed, bases, threads) -> list:
     if warmup < 2:
         raise ValueError("warmup must be at least 2")
     ladder = default_ladder(problem, eps_target, eta)
-    levels = _Levels(problem, ladder.eps, seed, _words(bases), threads)
+    levels = _Levels(problem, ladder.eps, seed, _words(bases), threads, pending=True)
     nlev, reps = ladder.levels + 1, range(len(bases))
     for level in range(nlev):
         levels.top_up(level, [warmup] * len(bases))
+    levels.drop_coarse()
     first = [levels.allocation(r) for r in reps]
     for level in range(nlev):
         levels.top_up(level, [max(first[r][level], warmup) for r in reps])
@@ -519,11 +597,16 @@ def adaptive_mlmc(
 ) -> EstimateReport:
     """Multilevel estimate with measured allocation.
 
-    Draws ``warmup`` samples per level, estimates each level's variance and
-    mean work, applies the optimal allocation, and tops levels up with fresh
-    sample indices (warm-up samples stay in the estimate). The allocation is
-    recomputed once from the enlarged sample and topped up again only where
-    the requirement grew by more than 10%.
+    Draws ``warmup`` samples per level of :func:`default_ladder` and drops
+    the coarse levels that :func:`coarsest_level` finds do not pay, judged
+    from those warm-up samples: the pairs' fine values become the new
+    coarsest level's samples, so the decision costs no extra walks, and the
+    dropped levels' warm-up steps count in the work. It then estimates each
+    kept level's variance and mean work, applies the optimal allocation,
+    and tops levels up with fresh sample indices (warm-up samples stay in
+    the estimate). The allocation is recomputed once from the enlarged
+    sample and topped up again only where the requirement grew by more
+    than 10%.
     """
     return _meas(problem, eps_target, eta, warmup, seed, [context], threads)[0]
 

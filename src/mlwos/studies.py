@@ -248,6 +248,8 @@ def pdiv_study(
     """
     if not len(eps_list):
         raise ValueError("eps_list must hold at least one width")
+    if not math.isfinite(radius):
+        raise ValueError(f"radius must be finite, got {radius}")
     if radius >= problem.domain.diameter:
         raise ValueError("radius must be below the domain diameter")
     if any(e >= radius for e in eps_list):

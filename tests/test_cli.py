@@ -85,8 +85,9 @@ class TestParseArgs:
         "argv",
         [["solve", "--eps", "nan"], ["solve", "--eps", "inf"],
          ["solve", "--method", "meas", "--eta", "nan"],
-         ["study-workerr", "--eps-list", "0.1,nan"]],
-        ids=["eps-nan", "eps-inf", "eta-nan", "eps-list-nan"],
+         ["study-workerr", "--eps-list", "0.1,nan"],
+         ["study-pdiv", "--radius", "nan"], ["study-pdiv", "--radius", "inf"]],
+        ids=["eps-nan", "eps-inf", "eta-nan", "eps-list-nan", "radius-nan", "radius-inf"],
     )
     def test_nonfinite_value_is_usage_error(self, argv):
         """NaN passes every ordering check: unchecked, a NaN width ran its
@@ -255,6 +256,25 @@ class TestSolveCommand:
         assert res.returncode == 0, res.stderr
         lines = (tmp_path / "out.csv").read_text().strip().split("\n")
         assert lines[0] == "level,eps,m,mean,variance,mean_steps"
+
+    def test_meas_names_dropped_levels(self, tmp_path, cli_env):
+        """At 3e-3 on the square MEAS drops the coarsest width, 0.768: the
+        artifact's levels are the two it sums, and the dropped width's
+        warm-up steps count in the total."""
+        res = run_cli(
+            ["solve", "--problem", "square", "--method", "meas", "--eps", "3e-3",
+             "--threads", "1", "--output", "out.json"],
+            tmp_path,
+            cli_env,
+        )
+        assert res.returncode == 0, res.stderr
+        doc = json.loads((tmp_path / "out.json").read_text())
+        assert [row["eps"] for row in doc["levels"]] == [0.048, 0.003]
+        assert [row["level"] for row in doc["levels"]] == [0, 1]
+        [dropped] = doc["dropped"]
+        assert dropped["eps"] == 0.768 and dropped["warmup_steps"] > 0
+        summed = sum(round(row["m"] * row["mean_steps"]) for row in doc["levels"])
+        assert doc["total_steps"] == summed + dropped["warmup_steps"]
 
     def test_mlwos_method_runs(self, tmp_path, cli_env):
         res = run_cli(

@@ -17,6 +17,7 @@ from mlwos.estimator import (
     allocation_targets,
     auto_sample_count,
     build_ladder,
+    coarsest_level,
     default_ladder,
     mc_estimate,
     mlmc_estimate,
@@ -240,6 +241,32 @@ class TestModelAllocation:
             model_allocation(1.0, 0.0, lad)
 
 
+class TestCoarsestLevel:
+    """The drop rule on hand-built warm-up figures: ``costs`` per level and
+    (correction, coarse, fine) variances per pair level."""
+
+    def test_tie_drops_the_level(self):
+        # sqrt(1 * 1) + sqrt(1 * 4) == sqrt(2.25 * 4)
+        assert coarsest_level([1.0, 4.0], [(1.0, 1.0, 2.25)]) == 1
+        assert coarsest_level([1.0, 4.0], [(1.0, 1.0, 2.25 + 1e-9)]) == 0
+
+    def test_zero_variances_keep_only_the_finest(self):
+        assert coarsest_level([1.0, 3.0, 9.0], [(0.0, 0.0, 0.0)] * 2) == 2
+
+    def test_hemisphere_figures_keep_level_zero(self):
+        """Measured at 1e-3 (widths 0.016 and 0.001): 0.575 against 0.588."""
+        assert coarsest_level([8.08, 17.09], [(0.00188, 0.0194, 0.0202)]) == 0
+
+    def test_three_levels_can_drop_two(self):
+        pairs = [(0.1, 0.24, 0.24), (0.02, 0.24, 0.24)]
+        assert coarsest_level([1.0, 2.0, 3.0], pairs) == 2
+        # where the finest plain walks cost more, the climb stops one level up
+        assert coarsest_level([1.0, 2.0, 4.0], pairs) == 1
+
+    def test_one_level_keeps_it(self):
+        assert coarsest_level([5.0], []) == 0
+
+
 class TestMcEstimate:
     def test_constant_data_is_exact(self):
         rep = mc_estimate(ball_problem(2), 0.05, m=100, seed=0, threads=1)
@@ -364,6 +391,34 @@ class TestAdaptiveMlmc:
     def test_rejects_small_warmup(self):
         with pytest.raises(ValueError):
             adaptive_mlmc(SQUARE, 0.01, 2.0, warmup=1)
+
+    def test_kept_ladder_is_unchanged(self):
+        """Where the rule keeps every level, the walks, counts and report
+        are those of the estimator without the rule, recorded from it."""
+        rep = adaptive_mlmc(HEMI, 3e-3, 16.0, seed=2, threads=1)
+        assert rep.dropped == () and "dropped" not in rep.to_dict()
+        assert rep.eps == (0.048, 0.003)
+        assert rep.m == (3340, 1323)
+        assert rep.total_steps == 33516
+        assert rep.value == 0.8678873821942146
+        assert rep.stat_error == 0.002949331790615549
+
+    def test_dropped_level_becomes_plain(self):
+        """With level 0 dropped, level 1's samples are plain walks to its
+        width from the streams of level 1: the warm-up pairs' fine records
+        and plain top-ups alike. Level 0's warm-up steps count in the work."""
+        rep = adaptive_mlmc(SQUARE, 3e-3, 16.0, seed=0, threads=1)
+        assert [e for e, _ in rep.dropped] == [0.768]
+        assert rep.eps == (0.048, 0.003) and len(rep.m) == 2
+        [(values, work)] = sample_level(SQUARE, (0.048,), [(stream_context(0), 0, rep.m[0])],
+                                        seed=0, level=1, threads=1)
+        assert rep.level_stats[0].mean == float(np.mean(values))
+        [(_, warmup)] = sample_level(SQUARE, (0.768,), [(stream_context(0), 0, 100)], seed=0,
+                                     threads=1)
+        assert rep.dropped[0][1] == warmup
+        kept = sum(round(st.mean_steps * st.count) for st in rep.level_stats)
+        assert round(rep.level_stats[0].mean_steps * rep.m[0]) == work
+        assert rep.total_steps == kept + warmup
 
     @pytest.mark.parametrize("eta", [math.nan, math.inf])
     def test_rejects_nonfinite_eta(self, eta):
@@ -555,6 +610,19 @@ class TestSolveReps:
         assert counts == calls
         monkeypatch.undo()
         assert self._untimed(got) == self._sequential("WOS", 0.1, m=m, seed=2, threads=1)
+
+    @pytest.mark.parametrize("problem, seed, contexts", [
+        (SQUARE, 1, [0, 1, 2, 3, 4, 5]), (HEMI, 1, [0, 1, 2, 3]),
+    ], ids=["square", "hemisphere"])
+    def test_replicas_that_decide_differently(self, problem, seed, contexts):
+        """At 3e-3, one level drops for some replicas and two (square) or
+        none (hemisphere) for others, so a top-up draws plain walks for
+        some and pairs for others; each report is still its own solve's."""
+        got = self._untimed(solve_reps(problem, "MEAS", 3e-3, contexts, seed=seed, threads=1))
+        assert len({len(r.dropped) for r in got}) == 2
+        assert got == self._untimed(
+            [solve(problem, "MEAS", 3e-3, seed=seed, threads=1, context=c) for c in contexts]
+        )
 
     def test_rejects_empty_contexts_and_unknown_method(self):
         with pytest.raises(ValueError, match="at least one context"):

@@ -146,6 +146,13 @@ class TestPdivStudy:
         with pytest.raises(ValueError):
             pdiv_study(SQUARE, [0.05], radius=5.0, m=100)
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_rejects_nonfinite_radius(self, radius):
+        """A NaN radius passes both ordering checks and counts no
+        divergence at all."""
+        with pytest.raises(ValueError, match="radius"):
+            pdiv_study(SQUARE, [0.05], radius=radius, m=100)
+
     def test_rejects_eps_geq_radius(self):
         with pytest.raises(ValueError):
             pdiv_study(SQUARE, [0.4], radius=0.3, m=100)

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlwos import walk
-from mlwos.geometry import Ball, Hemisphere, Square, ball_problem, square_problem
+from mlwos.geometry import (
+    Ball,
+    Hemisphere,
+    Square,
+    ball_problem,
+    hemisphere_problem,
+    square_problem,
+)
 from mlwos.walk import StepLimitExceeded, StreamKey, philox4x64, run_many, trace_csv
 
 SQUARE = Square()
@@ -979,6 +986,29 @@ class TestMlPair:
     def test_rejects_inverted_widths(self):
         with pytest.raises(ValueError):
             run_many(SQUARE, (1.0, 1.0), [0.01, 0.1], master_seed=0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("problem", [square_problem(), hemisphere_problem()],
+                             ids=["square", "hemisphere"])
+    @PROPERTY
+    @given(coarse=st.floats(0.05, 0.9),
+           ratio=st.sampled_from([1.0, 4.0, 16.0]) | st.floats(1.0, 1e3),
+           count=st.integers(1, 150), start=st.integers(0, 2 ** 40), level=st.integers(0, 5),
+           width=st.sampled_from([5, 64, walk._WIDTH]), seed=SEEDS)
+    def test_fine_record_is_the_plain_walk(self, problem, threads, coarse, ratio, count, start,
+                                           level, width, seed):
+        """A pair's fine record is the plain walk to the fine width, exits
+        and steps bit for bit: a measured ladder that drops its coarsest
+        level reads the pairs' fine values as that walk's samples."""
+        d0 = problem.domain.distance_to_boundary(problem.start)
+        widths = (coarse * d0, coarse * d0 / ratio)
+        args = dict(master_seed=seed, context=7, level=level, start_index=start, count=count,
+                    threads=threads)
+        with _width(width):
+            pair = run_many(problem.domain, problem.start, widths, **args)
+            plain = run_many(problem.domain, problem.start, widths[1:], **args)
+        np.testing.assert_array_equal(pair.exits[1], plain.exits[0])
+        np.testing.assert_array_equal(pair.steps[1], plain.steps[0])
 
 
 class TestTraceCsv:
