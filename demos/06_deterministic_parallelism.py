@@ -32,8 +32,7 @@ assert len({rep.value for rep in reports}) == 1
 rep = reports[0]
 level, index = len(rep.dropped), rep.m[0] // 2
 [(population, _)] = sample_level(
-    problem, (rep.eps[0],), [(stream_context(0), 0, rep.m[0])], seed=11, level=level,
-    threads=1,
+    problem, [((rep.eps[0],), level, stream_context(0), 0, rep.m[0])], seed=11, threads=1,
 )
 assert population.mean() == rep.level_stats[0].mean  # the estimate's own samples
 one = run_many(

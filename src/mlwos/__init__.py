@@ -39,6 +39,7 @@ from .estimator import (
     optimal_allocation,
     sample_level,
     solve,
+    solve_cells,
     solve_reps,
     stream_context,
 )

@@ -11,9 +11,10 @@ Three sample-allocation strategies are implemented:
   whose warm-up shows it does not pay (``coarsest_level``).
 
 Work is counted in walk steps. All estimators are deterministic functions
-of (problem, parameters, seed) regardless of thread count. ``solve_reps``
-runs one estimator for many stream contexts in lockstep, each step drawing
-for every replica at once, with the same results as separate runs.
+of (problem, parameters, seed) regardless of thread count. Each estimator
+is a generator of rounds of sample requests; ``solve_cells`` runs many
+estimators, each for many stream contexts, in lockstep, every round
+drawing for all of them at once, with the same results as separate runs.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "sample_level",
     "solve",
     "solve_reps",
+    "solve_cells",
     "stream_context",
     "DEFAULT_WARMUP",
     "METHODS",
@@ -56,8 +58,9 @@ DEFAULT_WARMUP = 100
 _PILOT_SAMPLES = 100
 
 # Most walks in one run_many call that packs several segments of
-# ``sample_level`` (one per replica of ``_Levels`` or ``variance_study``); a
-# segment above it stays a call of its own, with one context, so full-width
+# ``sample_level`` (a round's segments of every estimator of a run or study,
+# or every level and repeat of ``variance_study``); a segment above it stays
+# a call of its own, with one context, level and width row, so full-width
 # draws and thread splitting are as in a single run. Outputs do not depend
 # on it. It trades per-call overhead against peak memory: on the
 # square-workerr benchmark (2 vCPU, 4 alternated 38 s runs each, stream
@@ -321,11 +324,12 @@ class EstimateReport:
         }
 
 
-def sample_level(problem: Problem, widths, segments, *, seed: int, level: int = 0,
-                 threads: Optional[int] = None, fine: bool = False) -> list:
-    """One ``(values, work)`` per ``(context, start_index, count)`` in
-    ``segments``: samples ``start_index`` to ``start_index + count - 1`` of
-    one level, drawn from the streams (``seed``, ``context``, ``level``).
+def sample_level(problem: Problem, segments, *, seed: int, threads: Optional[int] = None,
+                 fine: bool = False) -> list:
+    """One ``(values, work)`` per ``(widths, level, context, start_index,
+    count)`` in ``segments``: samples ``start_index`` to ``start_index +
+    count - 1`` of stream level ``level``, drawn from the streams (``seed``,
+    ``context``, ``level``).
 
     ``widths=(eps,)`` gives the boundary values at the walks' exits;
     ``widths=(coarse, fine)`` gives the coupled corrections
@@ -339,49 +343,88 @@ def sample_level(problem: Problem, widths, segments, *, seed: int, level: int = 
 
     Segments are packed, in order, into ``walk.run_many`` calls of at most
     ``_PACK_WALKS`` walks; a segment larger than that is a call of its own.
-    A call of one segment takes its context and start index as ints, one
-    of several takes them as per-walk arrays. Each sample is a function of
-    its own stream, so the packing changes no value. Boundary data is read
-    ``_BC_ROWS`` exits at a time, into one array per call.
+    A call takes a field its segments share (context, level, widths) as
+    one value, and the others per walk: widths as a table of rows and a
+    row per walk, a plain segment's ``(eps,)`` read as ``(eps, eps)`` in a
+    call that also holds pairs. Each sample is a function of its own
+    stream and widths, so the packing changes no value. Boundary data is
+    read at most ``_BC_ROWS`` exits at a time, into one array per call:
+    the fine exits of every run of adjacent plain segments, and both of
+    every run of pairs.
     """
-    if len(widths) not in (1, 2):
-        raise ValueError("widths must be (eps,) or (coarse, fine)")
     packs, size = [], 0
-    for context, start, count in segments:
+    for segment in segments:
+        widths, _, _, _, count = segment
+        if len(widths) not in (1, 2):
+            raise ValueError("widths must be (eps,) or (coarse, fine)")
         if count < 1:
             raise ValueError("segment counts must be positive")
         if not packs or size + count > _PACK_WALKS:
             packs.append([])
             size = 0
-        packs[-1].append((context, start, count))
+        packs[-1].append(segment)
         size += count
     out = []
     for pack in packs:
-        counts = [n for _, _, n in pack]
-        if len(pack) == 1:
-            ((context, start, _),) = pack
-        else:
-            context = np.repeat(np.array([c for c, _, _ in pack], dtype=np.uint64), counts)
-            start = np.concatenate([np.arange(s, s + n, dtype=np.uint64) for _, s, n in pack])
-        batch = walk.run_many(
-            problem.domain, problem.start, widths, master_seed=seed, context=context,
-            level=level, start_index=start, count=sum(counts), threads=threads,
-        )
+        counts = [n for *_, n in pack]
         at = np.cumsum([0] + counts)
+        batch = walk.run_many(
+            problem.domain, problem.start, master_seed=seed, count=int(at[-1]), threads=threads,
+            **_call_fields(pack, counts),
+        )
         # Only step totals are kept: the batch's steps are freed here.
         exits, work = batch.exits, np.add.reduceat(batch.steps[-1], at[:-1]).tolist()
         del batch
+        pairs = [len(widths) == 2 for widths, *_ in pack]
         values = np.empty(at[-1])
-        fines = np.empty(at[-1]) if fine and len(widths) == 2 else values
-        for a in range(0, values.size, _BC_ROWS):
-            rows = slice(a, a + _BC_ROWS)
-            fines[rows] = problem.bc(exits[-1, rows])
-            if len(widths) == 2:
-                np.subtract(fines[rows], problem.bc(exits[0, rows]), out=values[rows])
+        fines = np.empty(at[-1]) if fine and any(pairs) else values
+        # Runs of adjacent segments of one kind, read in chunks.
+        runs = [i for i in range(len(pack)) if i == 0 or pairs[i] != pairs[i - 1]]
+        for i, j in zip(runs, runs[1:] + [len(pack)]):
+            pair = pairs[i]
+            for c in range(at[i], at[j], _BC_ROWS):
+                rows = slice(c, min(c + _BC_ROWS, at[j]))
+                if pair:
+                    fines[rows] = problem.bc(exits[-1, rows])
+                    np.subtract(fines[rows], problem.bc(exits[0, rows]), out=values[rows])
+                else:
+                    values[rows] = problem.bc(exits[-1, rows])
         del exits  # not held through the next pack's call
-        for a, b, w in zip(at[:-1], at[1:], work):
-            out.append((values[a:b], w, fines[a:b]) if fine else (values[a:b], w))
+        for a, b, w, pair in zip(at[:-1], at[1:], work, pairs):
+            if fine:
+                out.append((values[a:b], w, (fines if pair else values)[a:b]))
+            else:
+                out.append((values[a:b], w))
     return out
+
+
+def _call_fields(pack, counts) -> dict:
+    """``run_many``'s widths and stream fields for the segments ``pack``:
+    one value where the segments share it, else one per walk, and the
+    widths as one row or as a table with a row per walk."""
+    def field(values, dtype=np.uint64):
+        if len(set(values)) == 1:
+            return values[0]
+        return np.repeat(np.array(values, dtype=dtype), counts)
+
+    widths = [tuple(w) for w, *_ in pack]
+    fields = dict(
+        level=field([level for _, level, *_ in pack]),
+        context=field([context for _, _, context, *_ in pack]),
+    )
+    if len(pack) == 1:
+        fields["start_index"] = pack[0][3]
+    else:
+        fields["start_index"] = np.concatenate(
+            [np.arange(s, s + n, dtype=np.uint64) for *_, s, n in pack])
+    table = list(dict.fromkeys(widths))
+    if len(table) == 1:
+        fields["thresholds"] = table[0]
+    else:
+        records = max(len(w) for w in table)
+        fields["thresholds"] = [w[:1] * (records - len(w)) + w for w in table]
+        fields["threshold_rows"] = field([table.index(w) for w in widths], np.intp)
+    return fields
 
 
 class _Levels:
@@ -399,42 +442,42 @@ class _Levels:
     level's pairs until :meth:`drop_coarse` reads them. Samples are only
     ever appended, and each is a function of its own stream (a pair's fine
     record is the same walk as a plain walk to its fine width), so a level
-    topped up in several steps, alone or together with other replicas,
-    holds the same samples and work as one drawn at once.
+    topped up in several steps, alone or together with other replicas and
+    other estimators, holds the same samples and work as one drawn at once.
     """
 
-    def __init__(self, problem, eps, seed, contexts, threads, pending=False):
+    def __init__(self, problem, eps, seed, contexts, pending=False):
         self.problem = problem
         self.eps = tuple(eps)
         self.contexts = list(contexts)
-        self.stream = dict(seed=seed, threads=threads)
+        self.seed = seed
         self.values = [[np.empty(0)] * len(self.eps) for _ in self.contexts]
         self.work = [[0] * len(self.eps) for _ in self.contexts]
         self.base = [0] * len(self.contexts)
         self.fine = [[np.empty(0)] * len(self.eps) for _ in self.contexts] if pending else None
 
-    def top_up(self, level: int, need):
-        """Draw each replica's next samples of level ``level``, up to sample
-        ``need[r] - 1`` for replica ``r``, with a segment per replica that
-        needs any: plain walks where ``level`` is the replica's base, pairs
-        above it, one :func:`sample_level` call for each. A level below the
-        base draws nothing."""
-        have = [values[level].size for values in self.values]
-        grow = [r for r, n in enumerate(need) if n > have[r] and level >= self.base[r]]
-        keep = self.fine is not None
-        for plain in (True, False):
-            group = [r for r in grow if (level == self.base[r]) == plain]
-            if not group:
-                continue
-            segments = [(self.contexts[r], have[r], need[r] - have[r]) for r in group]
-            widths = self.eps[level if plain else level - 1:level + 1]
-            drawn = sample_level(self.problem, widths, segments, level=level, fine=keep,
-                                 **self.stream)
-            for r, (v, w, *fine) in zip(group, drawn):
-                self.values[r][level] = np.concatenate([self.values[r][level], v])
-                self.work[r][level] += w
-                if keep and not plain:
-                    self.fine[r][level] = np.concatenate([self.fine[r][level], *fine])
+    def top_up(self, need):
+        """Draw, as one round of :func:`_drive`, each replica's next samples
+        of every level, up to sample ``need[r][l] - 1`` of level ``l`` for
+        replica ``r``: plain walks where ``l`` is the replica's base, pairs
+        above it, nothing below it. A generator: it yields the round's
+        segments, level by level, unless none is needed."""
+        segments, slots = [], []
+        for level in range(len(self.eps)):
+            for r, counts in enumerate(need):
+                have, base = self.values[r][level].size, self.base[r]
+                if counts[level] > have and level >= base:
+                    widths = self.eps[max(level - 1, base):level + 1]
+                    segments.append((widths, level, self.contexts[r], have, counts[level] - have))
+                    slots.append((r, level))
+        if not segments:
+            return
+        drawn = yield segments, self.fine is not None
+        for (r, level), (v, w, *fine) in zip(slots, drawn):
+            self.values[r][level] = np.concatenate([self.values[r][level], v])
+            self.work[r][level] += w
+            if self.fine is not None and level > self.base[r]:
+                self.fine[r][level] = np.concatenate([self.fine[r][level], *fine])
 
     def drop_coarse(self):
         """Move each replica's base up as far as :func:`coarsest_level`
@@ -484,7 +527,7 @@ class _Levels:
                 level_stats=stats,
                 total_steps=sum(work),
                 stat_error=math.sqrt(sum(st.variance / st.count for st in stats)),
-                seed=self.stream["seed"],
+                seed=self.seed,
                 wall_time=wall,
                 dropped=tuple(zip(self.eps[:base], work[:base])),
             ))
@@ -495,61 +538,88 @@ def _words(bases, sub=_SUB_MAIN) -> list:
     return [stream_context(base, sub) for base in bases]
 
 
-def _wos(problem, eps, m, seed, bases, threads) -> list:
+def _drive(problem, estimators, seed, threads) -> list:
+    """Run the estimator generators ``estimators`` together and return
+    what each returns, in order.
+
+    Each generator yields one round of requests at a time, ``(segments,
+    fine)`` with segments as :func:`sample_level` takes them, and is sent
+    the ``(values, work, fine_values)`` or ``(values, work)`` of its
+    segments. Every round, the segments of all live generators go, in
+    generator order, into one :func:`sample_level` call, with fine values
+    if any generator asks for them; so independent estimators share
+    ``run_many`` calls, and each still gets what it would alone.
+    """
+    results = [None] * len(estimators)
+    live, sent = list(enumerate(estimators)), [None] * len(estimators)
+    while live:
+        asked = []
+        for i, gen in live:
+            try:
+                asked.append((i, gen, gen.send(sent[i])))
+            except StopIteration as stop:
+                results[i] = stop.value
+        drawn = sample_level(
+            problem, [seg for *_, (segments, _) in asked for seg in segments], seed=seed,
+            threads=threads, fine=any(fine for *_, (_, fine) in asked),
+        )
+        at = 0
+        for i, _, (segments, _) in asked:
+            sent[i], at = drawn[at:at + len(segments)], at + len(segments)
+        live = [(i, gen) for i, gen, _ in asked]
+    return results
+
+
+def _wos(problem, eps, m, seed, bases):
     t0 = time.perf_counter()
     if m is not None and m < 2:
         raise ValueError("m must be at least 2")
-    levels = _Levels(problem, (eps,), seed, _words(bases), threads)
-    levels.top_up(0, [m or _PILOT_SAMPLES] * len(bases))
+    levels = _Levels(problem, (eps,), seed, _words(bases))
+    yield from levels.top_up([[m or _PILOT_SAMPLES]] * len(bases))
     if m is None:
-        levels.top_up(0, [auto_sample_count(levels.stats(r)[0].variance, eps)
-                          for r in range(len(bases))])
+        yield from levels.top_up([[auto_sample_count(levels.stats(r)[0].variance, eps)]
+                                  for r in range(len(bases))])
     return levels.reports(None, t0)
 
 
-def _mlmc(problem, ladder, ms, seed, bases, threads) -> list:
+def _mlmc(problem, ladder, ms, seed, bases):
     t0 = time.perf_counter()
     for m in ms:
         if len(m) != ladder.levels + 1:
             raise ValueError("need one sample count per level")
         if any(not isinstance(v, numbers.Integral) or v < 2 for v in m):
             raise ValueError("sample counts must be integers of at least 2")
-    levels = _Levels(problem, ladder.eps, seed, _words(bases), threads)
-    for level in range(ladder.levels + 1):
-        levels.top_up(level, [int(m[level]) for m in ms])
+    levels = _Levels(problem, ladder.eps, seed, _words(bases))
+    yield from levels.top_up([[int(v) for v in m] for m in ms])
     return levels.reports(ladder.eta, t0)
 
 
-def _meas(problem, eps_target, eta, warmup, seed, bases, threads) -> list:
+def _meas(problem, eps_target, eta, warmup, seed, bases):
     t0 = time.perf_counter()
     if warmup < 2:
         raise ValueError("warmup must be at least 2")
     ladder = default_ladder(problem, eps_target, eta)
-    levels = _Levels(problem, ladder.eps, seed, _words(bases), threads, pending=True)
-    nlev, reps = ladder.levels + 1, range(len(bases))
-    for level in range(nlev):
-        levels.top_up(level, [warmup] * len(bases))
+    levels = _Levels(problem, ladder.eps, seed, _words(bases), pending=True)
+    reps = range(len(bases))
+    yield from levels.top_up([[warmup] * (ladder.levels + 1)] * len(bases))
     levels.drop_coarse()
     first = [levels.allocation(r) for r in reps]
-    for level in range(nlev):
-        levels.top_up(level, [max(first[r][level], warmup) for r in reps])
+    yield from levels.top_up([[max(n, warmup) for n in first[r]] for r in reps])
     second = [levels.allocation(r) for r in reps]
-    for level in range(nlev):
-        # Each replica tops up again only where its requirement grew by
-        # more than 10%; a count it already holds draws nothing.
-        levels.top_up(level, [
-            second[r][level] if second[r][level] > 1.1 * first[r][level] else 0 for r in reps
-        ])
+    # Each replica tops up again only where its requirement grew by more
+    # than 10%; a count it already holds draws nothing.
+    yield from levels.top_up([[b if b > 1.1 * a else 0 for a, b in zip(first[r], second[r])]
+                              for r in reps])
     return levels.reports(eta, t0)
 
 
-def _mlwos(problem, eps_target, eta, seed, bases, threads) -> list:
+def _mlwos(problem, eps_target, eta, seed, bases):
     ladder = default_ladder(problem, eps_target, eta)
-    pilot = _Levels(problem, ladder.eps[:1], seed, _words(bases, _SUB_PILOT), threads)
-    pilot.top_up(0, [_PILOT_SAMPLES] * len(bases))
+    pilot = _Levels(problem, ladder.eps[:1], seed, _words(bases, _SUB_PILOT))
+    yield from pilot.top_up([[_PILOT_SAMPLES]] * len(bases))
     anchors = [pilot.stats(r)[0] for r in range(len(bases))]
     ms = [model_allocation(st.variance, st.mean_steps, ladder) for st in anchors]
-    reports = _mlmc(problem, ladder, ms, seed, bases, threads)
+    reports = yield from _mlmc(problem, ladder, ms, seed, bases)
     for report, (work,) in zip(reports, pilot.work):
         report.total_steps += work
     return reports
@@ -569,7 +639,7 @@ def mc_estimate(
     ceil(variance / eps^2); the pilot samples are kept, never redrawn, so
     the final estimate matches an explicit call with the resulting count.
     """
-    return _wos(problem, eps, m, seed, [context], threads)[0]
+    return _drive(problem, [_wos(problem, eps, m, seed, [context])], seed, threads)[0][0]
 
 
 def mlmc_estimate(
@@ -583,7 +653,7 @@ def mlmc_estimate(
     """Multilevel estimate with ``m[l]`` samples on level ``l`` of
     ``ladder``: plain walks on level 0 plus independent coupled-pair
     corrections on each finer level."""
-    return _mlmc(problem, ladder, [m], seed, [context], threads)[0]
+    return _drive(problem, [_mlmc(problem, ladder, [m], seed, [context])], seed, threads)[0][0]
 
 
 def adaptive_mlmc(
@@ -608,7 +678,8 @@ def adaptive_mlmc(
     sample and topped up again only where the requirement grew by more
     than 10%.
     """
-    return _meas(problem, eps_target, eta, warmup, seed, [context], threads)[0]
+    estimate = _meas(problem, eps_target, eta, warmup, seed, [context])
+    return _drive(problem, [estimate], seed, threads)[0][0]
 
 
 def solve(
@@ -651,20 +722,54 @@ def solve_reps(
     """One :func:`solve` per context in ``contexts``, run in lockstep.
 
     Report ``r`` is bit for bit ``solve(..., context=contexts[r])``; only
-    its measured ``wall_time`` differs, being the whole run's. Each step of
-    an estimator draws the samples it needs for every replica at once, so
-    independent runs share ``run_many`` calls. A step limit exceeded by
-    several replicas is raised for the lowest walk of the call that meets
-    it, which need not be the replica that sequential runs would name.
+    its measured ``wall_time`` differs, being the whole run's. It is
+    :func:`solve_cells` with one cell: each estimator round draws for every
+    replica at once. When walks of several replicas exceed the step limit,
+    the error names the first of them in the round's segment order (level
+    by level, replicas in ``contexts`` order within a level), with that
+    walk's own context, level and sample index; it need not be the walk
+    that sequential runs would name.
     """
-    contexts = list(contexts)
-    if not contexts:
-        raise ValueError("need at least one context")
-    name = method.upper()
-    if name == "WOS":
-        return _wos(problem, eps_target, m, seed, contexts, threads)
-    if name == "MEAS":
-        return _meas(problem, eps_target, eta, warmup, seed, contexts, threads)
-    if name == "MLWOS":
-        return _mlwos(problem, eps_target, eta, seed, contexts, threads)
-    raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    return solve_cells(problem, [(method, eps_target, contexts)], eta, warmup=warmup, m=m,
+                       seed=seed, threads=threads)[0]
+
+
+def solve_cells(
+    problem: Problem,
+    cells,
+    eta: float = 16.0,
+    warmup: int = DEFAULT_WARMUP,
+    m: Optional[int] = None,
+    seed: int = 0,
+    threads: Optional[int] = None,
+) -> list:
+    """One :func:`solve_reps` list of reports per ``(method, eps_target,
+    contexts)`` in ``cells``, all run in lockstep.
+
+    Each estimator runs in rounds (WOS and MLWOS two: pilot, then the rest;
+    MEAS three: warm-up and two top-ups), and every round draws what every
+    replica of every cell needs in one :func:`sample_level` call, a
+    segment per (cell, level, replica), packed in that order into
+    ``run_many`` calls of at most ``_PACK_WALKS`` walks. Every sample is
+    still a function of its own stream, so each report is its own
+    :func:`solve`'s bit for bit. A step limit exceeded by walks of several
+    replicas or cells is raised for the first of those walks in the order
+    of its round's segments, level by level within a cell: the lowest
+    failing walk of the first call that meets one. That need not be the
+    walk that sequential runs would name.
+    """
+    estimators = []
+    for method, eps_target, contexts in cells:
+        contexts = list(contexts)
+        if not contexts:
+            raise ValueError("need at least one context")
+        name = method.upper()
+        if name == "WOS":
+            estimators.append(_wos(problem, eps_target, m, seed, contexts))
+        elif name == "MEAS":
+            estimators.append(_meas(problem, eps_target, eta, warmup, seed, contexts))
+        elif name == "MLWOS":
+            estimators.append(_mlwos(problem, eps_target, eta, seed, contexts))
+        else:
+            raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    return _drive(problem, estimators, seed, threads)

@@ -162,7 +162,7 @@ def variance_study(
     second-moment norm sqrt(mean(diff^2)). Norms are averaged over ``reps``
     repeats, each from its own stream context, before fitting the log-log
     slope against the fine width. One :func:`estimator.sample_level` call
-    per level draws every repeat's pairs.
+    draws every level's pairs of every repeat.
     """
     if m_per_level < 100:
         raise ValueError("m_per_level must be at least 100")
@@ -174,31 +174,33 @@ def variance_study(
     if eps[0] >= problem.domain.distance_to_boundary(problem.start):
         raise ValueError("eps0 must be below the start's boundary distance")
 
+    cells = [(level, rep) for level in range(1, num_levels + 1) for rep in range(reps)]
+    drawn = estimator.sample_level(
+        problem,
+        [
+            ((eps[level - 1], eps[level]), level,
+             estimator.stream_context(_CTX_VARIANCE | (rep * (num_levels + 1) + level)), 0,
+             m_per_level)
+            for level, rep in cells
+        ],
+        seed=seed,
+        threads=threads,
+    )
     rows = []
     sq_sums = np.zeros(num_levels)
-    for level in range(1, num_levels + 1):
-        cells = [_CTX_VARIANCE | (rep * (num_levels + 1) + level) for rep in range(reps)]
-        drawn = estimator.sample_level(
-            problem,
-            (eps[level - 1], eps[level]),
-            [(estimator.stream_context(cell), 0, m_per_level) for cell in cells],
-            seed=seed,
-            level=level,
-            threads=threads,
+    for (level, rep), (diffs, work) in zip(cells, drawn):
+        msq = float(np.mean(diffs ** 2))
+        sq_sums[level - 1] += msq
+        rows.append(
+            {
+                "level": level,
+                "eps": eps[level],
+                "l2_norm": math.sqrt(msq),
+                "variance": float(np.var(diffs, ddof=1)),
+                "mean_steps": work / m_per_level,
+                "rep": rep,
+            }
         )
-        for rep, (diffs, work) in enumerate(drawn):
-            msq = float(np.mean(diffs ** 2))
-            sq_sums[level - 1] += msq
-            rows.append(
-                {
-                    "level": level,
-                    "eps": eps[level],
-                    "l2_norm": math.sqrt(msq),
-                    "variance": float(np.var(diffs, ddof=1)),
-                    "mean_steps": work / m_per_level,
-                    "rep": rep,
-                }
-            )
     norms = tuple(math.sqrt(s / reps) for s in sq_sums)
     degenerate = any(n == 0.0 for n in norms)
     fit = None if degenerate else fit_loglog(eps[1:], norms)
@@ -348,11 +350,13 @@ def work_error_study(
     """Compare estimators by repeated independent runs per error target.
 
     Every (method, eps_target, rep) cell is a full estimator run with its
-    own stream context; a (method, eps_target)'s reps run in lockstep
-    through :func:`estimator.solve_reps`. Per cell we record the error against the problem's
-    reference solution and the total work in walk steps. Aggregates are RMS
-    error and mean work per (method, eps_target); the per-method log-log fit
-    of RMS error versus mean work measures the convergence rate.
+    own stream context. All of them run in lockstep through
+    :func:`estimator.solve_cells`, so each estimator round of every cell
+    shares its ``run_many`` calls. Per cell we record the error against
+    the problem's reference solution and the total work in walk steps.
+    Aggregates are RMS error and mean work per (method, eps_target); the
+    per-method log-log fit of RMS error versus mean work measures the
+    convergence rate.
     """
     if reps < 5:
         raise ValueError("reps must be at least 5")
@@ -369,35 +373,36 @@ def work_error_study(
             raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
     eps_targets = sorted(float(e) for e in eps_targets)
 
+    grid = [(method, eps) for method in methods for eps in eps_targets]
+    runs = estimator.solve_cells(
+        problem,
+        [
+            (method, eps, [_CTX_WORKERR | (cell * reps + rep) for rep in range(reps)])
+            for cell, (method, eps) in enumerate(grid)
+        ],
+        eta, warmup=warmup, seed=seed, threads=threads,
+    )
     records = []
     points = {m: [] for m in methods}
-    fits = {}
-    for mi, method in enumerate(methods):
-        for ei, eps in enumerate(eps_targets):
-            cells = [
-                _CTX_WORKERR | (((mi * len(eps_targets) + ei) * reps) + rep) for rep in range(reps)
-            ]
-            reports = estimator.solve_reps(
-                problem, method, eps, cells, eta, warmup=warmup, seed=seed, threads=threads
-            )
-            values = [report.value for report in reports]
-            works = [report.total_steps for report in reports]
-            for rep, report in enumerate(reports):
-                records.append(
-                    StudyRecord(
-                        method=method,
-                        eps_target=eps,
-                        eta=float(eta),
-                        rep_seed=rep,
-                        error=abs(report.value - truth),
-                        work=report.total_steps,
-                        value=report.value,
-                    )
+    for (method, eps), reports in zip(grid, runs):
+        for rep, report in enumerate(reports):
+            records.append(
+                StudyRecord(
+                    method=method,
+                    eps_target=eps,
+                    eta=float(eta),
+                    rep_seed=rep,
+                    error=abs(report.value - truth),
+                    work=report.total_steps,
+                    value=report.value,
                 )
-            rms, ci = rms_error(values, truth)
-            points[method].append((eps, rms, ci, float(np.mean(works))))
-        xs = [p[3] for p in points[method]]
-        ys = [p[1] for p in points[method]]
+            )
+        rms, ci = rms_error([report.value for report in reports], truth)
+        points[method].append((eps, rms, ci, float(np.mean([r.total_steps for r in reports]))))
+    fits = {}
+    for method, pts in points.items():
+        xs = [p[3] for p in pts]
+        ys = [p[1] for p in pts]
         if len(xs) >= 2 and all(y > 0 for y in ys):
             fits[method] = fit_loglog(xs, ys)
     records.sort(key=lambda r: (r.method, r.eps_target, r.rep_seed))

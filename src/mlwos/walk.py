@@ -38,7 +38,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -225,8 +225,9 @@ class StreamKey:
 
 
 def _stream_words(value, count: int, bits: int, name: str):
-    """A stream field of ``run_many``: an int, or a 1-D array of ``count``
-    integers below ``2 ** bits`` returned as uint64."""
+    """A per-walk field of ``run_many``: an int, or a 1-D array of ``count``
+    integers below ``2 ** bits`` returned as uint64. An error names the
+    first walk whose value is out of range."""
     if np.ndim(value) == 0:
         return int(value)
     words = np.asarray(value)
@@ -235,11 +236,42 @@ def _stream_words(value, count: int, bits: int, name: str):
     if words.dtype.kind not in "iu":
         raise ValueError(f"{name} must hold integers (uint64 for indices of 2**63 and above)")
     if words.dtype.kind == "i" and words.min() < 0:
-        raise ValueError(f"{name} values must not be negative")
+        raise ValueError(f"{name} of walk {int((words < 0).argmax())} must not be negative")
     words = words.astype(np.uint64, copy=False)
     if bits < 64 and words.max() >= 2 ** bits:
-        raise ValueError(f"{name} values must fit in {bits} unsigned bits")
+        bad = int((words >= 2 ** bits).argmax())
+        raise ValueError(f"{name} of walk {bad} must fit in {bits} unsigned bits")
     return words
+
+
+def _width_table(thresholds, rows, count: int, d0: float):
+    """``run_many``'s stopping widths as a (table rows, records) float array
+    and the row of each walk: ``None`` for a table of one row, which every
+    walk reads, else an int array of ``count`` row numbers. A 1-D
+    ``thresholds`` is one row; a 2-D one needs ``rows``. Errors about a
+    row of a 2-D table name it."""
+    thr = np.asarray(thresholds, dtype=np.float64)
+    table = thr.reshape(1, -1) if thr.ndim == 1 else thr
+    if table.ndim != 2 or table.size == 0:
+        raise ValueError("need at least one stopping width")
+    for i, row in enumerate(table):
+        of = "" if thr.ndim == 1 else f" of row {i}"
+        if not np.all(np.isfinite(row) & (row > 0.0)):
+            raise ValueError(f"stopping widths{of} must be finite and positive")
+        if np.any(np.diff(row) > 0.0):
+            raise ValueError(f"stopping widths{of} must be nonincreasing")
+        if row[0] >= d0:
+            raise ValueError(f"stopping width {row[0]:g}{of} is not below the start distance {d0:g}")
+    if rows is None:
+        if len(table) > 1:
+            raise ValueError("a table of several width rows needs threshold_rows")
+        return table, None
+    rows = np.broadcast_to(_stream_words(rows, count, 64, "threshold_rows"), count)
+    bad = np.flatnonzero(rows >= len(table))
+    if bad.size:
+        raise ValueError(f"threshold_rows of walk {bad[0]} names no row of the "
+                         f"{len(table)}-row table")
+    return table, (None if len(table) == 1 else rows.astype(np.intp))
 
 
 def _stream_rows(streams, rows):
@@ -248,23 +280,27 @@ def _stream_rows(streams, rows):
     start), as ``run_many`` takes them.
 
     Key word 0 is the master seed and word 1 packs the context with the
-    level, so (master_seed, context, level) map injectively into the
-    128-bit key; word 1 is one 0-d value for an int ``context``, else one
-    per row. The counter word is the sample index: ``start + rows`` for an
-    int ``start``, else ``start[rows]``.
+    level, ``(context << 16) | level``, so (master_seed, context, level)
+    map injectively into the 128-bit key; word 1 is one 0-d value for an
+    int ``context`` and ``level``, else one per row, an array field giving
+    row ``i`` its value at [i]. The counter word is the sample index:
+    ``start + rows`` for an int ``start``, else ``start[rows]``.
     """
     _, context, level, start = streams
     if np.ndim(context):
         context = context[rows]
-    key = (np.asarray(context, dtype=np.uint64) << _S16) | _u64(level)
+    level = level[rows] if np.ndim(level) else _u64(level)
+    key = (np.asarray(context, dtype=np.uint64) << _S16) | level
     index = start[rows] if np.ndim(start) else _u64(start) + rows.astype(np.uint64)
     return key, index
 
 
 def _row_key(streams, row: int) -> StreamKey:
-    """The stream key of call row ``row`` of ``streams``."""
+    """The stream key of call row ``row`` of ``streams``, its context and
+    level read back from its own key word."""
     key, index = _stream_rows(streams, np.array([row]))
-    return StreamKey(streams[0], int(np.ravel(key)[0]) >> 16, streams[2], int(index[0]))
+    word = int(np.ravel(key)[0])
+    return StreamKey(streams[0], word >> 16, word & 0xFFFF, int(index[0]))
 
 
 def _raw_lanes(k0, k1, words, first, blocks):
@@ -483,8 +519,9 @@ def _directions(dim, lanes):
 class StepLimitExceeded(RuntimeError):
     """A walk exceeded ``max_steps``; ``key`` is the stream it drew from.
 
-    ``run_many`` reports the lowest sample index whose walk exceeds the
-    limit, whatever the width and thread count.
+    ``run_many`` reports the lowest walk of the call that exceeds the
+    limit, whatever the width and thread count, with that walk's own
+    context, level and sample index.
     """
 
     def __init__(self, max_steps: int, key: StreamKey):
@@ -516,15 +553,21 @@ class BatchResult:
     trace: Optional[np.ndarray] = None
 
 
-def _walk_chunk(domain, x0, thr, streams, count, max_steps, stops, steps, lo=0, trace=False):
+def _walk_chunk(domain, x0, widths, streams, count, max_steps, stops, steps, lo=0, trace=False):
     """Run the ``count`` walks of call rows ``lo`` to ``lo + count - 1`` as
     one wavefront.
 
     ``streams`` is ``run_many``'s (master_seed, context, level, start): row
     ``i`` draws from the stream whose key words :func:`_stream_rows` makes,
     (master_seed, context, level, start + i), or with row ``i``'s own value
-    at [i] of a ``context`` or ``start`` given as a uint64 array. The key
-    words are made for the walks in flight at each draw.
+    at [i] of a ``context``, ``level`` or ``start`` given as a uint64
+    array. The key words are made for the walks in flight at each draw.
+    ``widths`` is :func:`_width_table`'s (table, rows): row ``i`` records
+    at the widths of table row ``rows[i]``, or of its one row for ``rows``
+    None. With one row, each sub-step gathers the walks' next widths by
+    the thresholds they crossed; with a table, each walk in flight keeps
+    its own next width, set when it enters and moved on when it records,
+    so no sub-step gathers from the table.
 
     At most ``_WIDTH`` walks are in flight, in ascending row order. Each
     iteration draws Philox blocks for every walk in flight in whole strides
@@ -555,7 +598,8 @@ def _walk_chunk(domain, x0, thr, streams, count, max_steps, stops, steps, lo=0, 
     position after every step, the start included.
     """
     dim = domain.dim
-    nthr = thr.size
+    table, rows = widths
+    nthr = table.shape[1]
     words = _words_per_direction(dim)
     stride = math.lcm(words, 8) // words
     # The fewest lanes that hold whole steps: one lane holds two 1-D or 2-D
@@ -564,7 +608,9 @@ def _walk_chunk(domain, x0, thr, streams, count, max_steps, stops, steps, lo=0, 
     k0 = _u64(streams[0])
     d0 = max(float(domain._dist(x0[None, :])[0]), 0.0)
     # A walk past its last threshold compares against -inf: no more hits.
-    thr_next = np.append(thr, -np.inf)
+    thr_next = np.append(table, np.full((len(table), 1), -np.inf), axis=1)
+    if rows is None:
+        thr_next = thr_next[0]
 
     # One entry per walk in flight, in ascending row order; positions are
     # stored coordinate-major, (dim, walks), so every numpy call runs along
@@ -574,6 +620,8 @@ def _walk_chunk(domain, x0, thr, streams, count, max_steps, stops, steps, lo=0, 
     dist = np.empty(0)
     entry = np.empty(0, dtype=np.int64)  # value of ``now`` when it started
     ptr = np.empty(0, dtype=np.int64)  # thresholds crossed
+    # With a table: each walk's width row, and thr_next[row, ptr].
+    wrow, nxt = (None, None) if rows is None else (np.empty(0, dtype=np.intp), np.empty(0))
     now = 0  # sub-steps taken by the wavefront
     history = [x0.copy()] if trace else None
     filled = 0
@@ -586,6 +634,10 @@ def _walk_chunk(domain, x0, thr, streams, count, max_steps, stops, steps, lo=0, 
             dist = np.concatenate([dist, np.full(new, d0)])
             entry = np.concatenate([entry, np.full(new, now)])
             ptr = np.concatenate([ptr, np.zeros(new, dtype=np.int64)])
+            if rows is not None:
+                added = rows[lo + filled:lo + filled + new]
+                wrow = np.concatenate([wrow, added])
+                nxt = np.concatenate([nxt, thr_next[added, 0]])
             filled += new
         if not idx.size:
             return history
@@ -628,7 +680,7 @@ def _walk_chunk(domain, x0, thr, streams, count, max_steps, stops, steps, lo=0, 
                     history.append(pos[:, 0].copy())
                 # One jump can cross several widths at once; record them all
                 # at the same position, which realizes the first-crossing rule.
-                hit = (dist < thr_next[ptr]).nonzero()[0]
+                hit = (dist < (thr_next[ptr] if nxt is None else nxt)).nonzero()[0]
                 if hit.size:
                     crossed = hit
                     while hit.size:
@@ -636,12 +688,18 @@ def _walk_chunk(domain, x0, thr, streams, count, max_steps, stops, steps, lo=0, 
                         stops[k, col] = pos[:, hit].T
                         steps[k, col] = now - entry[hit]
                         ptr[hit] = k + 1
-                        hit = hit[dist[hit] < thr_next[k + 1]]
+                        if nxt is None:
+                            hit = hit[dist[hit] < thr_next[k + 1]]
+                        else:
+                            nxt[hit] = thr_next[wrow[hit], k + 1]
+                            hit = hit[dist[hit] < nxt[hit]]
                     going -= int(np.count_nonzero(ptr[crossed] == nthr))
                 end = not lanes.size and t == dirs.shape[1] - 1
                 if going < idx.size and (end or going <= _COMPACT_SHARE * idx.size):
                     keep = (ptr < nthr).nonzero()[0]
                     idx, dist, entry, ptr = idx[keep], dist[keep], entry[keep], ptr[keep]
+                    if nxt is not None:
+                        wrow, nxt = wrow[keep], nxt[keep]
                     pos = pos.take(keep, axis=1)
                     live = keep if live is None else live[keep]
                     if not going:
@@ -658,67 +716,66 @@ def _walk_chunk(domain, x0, thr, streams, count, max_steps, stops, steps, lo=0, 
 def run_many(
     domain: Domain,
     x0,
-    thresholds: Sequence[float],
+    thresholds,
     master_seed: int,
     context=0,
-    level: int = 0,
+    level=0,
     start_index=0,
     count: int = 1,
     max_steps: int = DEFAULT_MAX_STEPS,
     threads: Optional[int] = None,
     trace: bool = False,
+    threshold_rows=None,
 ) -> BatchResult:
     """Run ``count`` independent walks, each recorded at every threshold.
 
     Walk ``i`` draws from the stream keyed by
-    ``StreamKey(master_seed, context, level, start_index + i)``. Either of
-    ``context`` and ``start_index`` may instead be a 1-D integer array of
-    ``count`` values, one per walk: walk ``i`` then takes ``context[i]`` or
-    sample index ``start_index[i]`` (uint64 reaches 2**64 - 1), so one call
-    can run walks of many streams. Results are written to slots in walk
-    order, so the output is bitwise reproducible for any ``threads``;
-    ``None`` takes the default of :func:`resolve_threads`. With more than
-    one thread the walks are split into contiguous ranges, one wavefront
-    each, but only into as many as hold a full ``_WIDTH`` of walks: the
-    calling thread runs the first range and a pool the others. Once every
-    range is done, the stops are projected to exits in place. One walk
-    is ``count=1``; with ``trace=True`` (one walk only) the result's
-    ``trace`` holds its (steps + 1, dim) positions, the start included.
+    ``StreamKey(master_seed, context, level, start_index + i)``. Any of
+    ``context``, ``level`` and ``start_index`` may instead be a 1-D integer
+    array of ``count`` values, one per walk: walk ``i`` then takes
+    ``context[i]``, ``level[i]`` or sample index ``start_index[i]`` (uint64
+    reaches 2**64 - 1), so one call can run walks of many streams.
+    ``thresholds`` is one nonincreasing row of widths that every walk
+    records at, or a 2-D table of such rows, all of one length, with
+    ``threshold_rows`` giving each walk's row as ``count`` integers. A
+    walk's results depend only on its stream and its widths.
+
+    Results are written to slots in walk order, so the output is bitwise
+    reproducible for any ``threads``; ``None`` takes the default of
+    :func:`resolve_threads`. With more than one thread the walks are split
+    into contiguous ranges, one wavefront each, but only into as many as
+    hold a full ``_WIDTH`` of walks: the calling thread runs the first
+    range and a pool the others. Once every range is done, the stops are
+    projected to exits in place. One walk is ``count=1``; with
+    ``trace=True`` (one walk only) the result's ``trace`` holds its
+    (steps + 1, dim) positions, the start included.
     """
     x0 = as_point(x0, domain.dim)
-    thr = np.asarray(thresholds, dtype=np.float64)
-    if thr.ndim != 1 or thr.size == 0:
-        raise ValueError("need at least one stopping width")
-    if not np.all(np.isfinite(thr) & (thr > 0.0)):
-        raise ValueError("stopping widths must be finite and positive")
-    if np.any(np.diff(thr) > 0.0):
-        raise ValueError("stopping widths must be nonincreasing")
-    d0 = domain.distance_to_boundary(x0)
-    if thr[0] >= d0:
-        raise ValueError(f"stopping width {thr[0]:g} is not below the start distance {d0:g}")
     if count < 1:
         raise ValueError("count must be positive")
+    widths = _width_table(thresholds, threshold_rows, count, domain.distance_to_boundary(x0))
     if trace and count != 1:
         raise ValueError("trace records one walk; count must be 1")
     context = _stream_words(context, count, 32, "context")
+    level = _stream_words(level, count, 16, "level")
     start_index = _stream_words(start_index, count, 64, "start_index")
     # Range check of the int fields; an int start_index counts up to the
     # last walk's index.
     StreamKey(
-        master_seed, 0 if np.ndim(context) else context, level,
+        master_seed, 0 if np.ndim(context) else context, 0 if np.ndim(level) else level,
         0 if np.ndim(start_index) else start_index + count - 1,
     )
     streams = (master_seed, context, level, start_index)
     threads = resolve_threads(threads)
 
-    nthr = thr.size
+    nthr = widths[0].shape[1]
     stops = np.empty((nthr, count, domain.dim))
     steps = np.empty((nthr, count), dtype=np.int64)
     parts = max(1, min(threads, count // _WIDTH))
     bounds = [count * i // parts for i in range(parts + 1)]
 
     def work(lo, hi):
-        return _walk_chunk(domain, x0, thr, streams, hi - lo, max_steps, stops, steps, lo, trace)
+        return _walk_chunk(domain, x0, widths, streams, hi - lo, max_steps, stops, steps, lo, trace)
 
     if parts > 1:
         with ThreadPoolExecutor(max_workers=parts - 1) as pool:

@@ -166,7 +166,7 @@ def test_c07_exact_algebraic_suite():
     assert lad.eps == (0.1, 0.05, 0.025, 0.0125)
     assert build_ladder(3.90625e-4, 16.0, 0.1).eps == (0.1, 6.25e-3, 3.90625e-4)
     # degenerate coupling
-    [(diff, _)] = sample_level(SQUARE, (0.05, 0.05), [(0, 0, 1)], seed=3, threads=1)
+    [(diff, _)] = sample_level(SQUARE, [((0.05, 0.05), 0, 0, 0, 1)], seed=3, threads=1)
     assert diff[0] == 0.0
     # rms and fit trivial cases
     assert rms_error([1.0, 3.0], 2.0)[0] == 1.0

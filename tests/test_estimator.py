@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mlwos import estimator, walk
@@ -25,6 +25,7 @@ from mlwos.estimator import (
     optimal_allocation,
     sample_level,
     solve,
+    solve_cells,
     solve_reps,
     stream_context,
 )
@@ -410,10 +411,10 @@ class TestAdaptiveMlmc:
         rep = adaptive_mlmc(SQUARE, 3e-3, 16.0, seed=0, threads=1)
         assert [e for e, _ in rep.dropped] == [0.768]
         assert rep.eps == (0.048, 0.003) and len(rep.m) == 2
-        [(values, work)] = sample_level(SQUARE, (0.048,), [(stream_context(0), 0, rep.m[0])],
-                                        seed=0, level=1, threads=1)
+        [(values, work)] = sample_level(
+            SQUARE, [((0.048,), 1, stream_context(0), 0, rep.m[0])], seed=0, threads=1)
         assert rep.level_stats[0].mean == float(np.mean(values))
-        [(_, warmup)] = sample_level(SQUARE, (0.768,), [(stream_context(0), 0, 100)], seed=0,
+        [(_, warmup)] = sample_level(SQUARE, [((0.768,), 0, stream_context(0), 0, 100)], seed=0,
                                      threads=1)
         assert rep.dropped[0][1] == warmup
         kept = sum(round(st.mean_steps * st.count) for st in rep.level_stats)
@@ -453,8 +454,7 @@ class TestSampleLevel:
 
     def _level(self, widths):
         ctx = stream_context(5)
-        [(values, work)] = sample_level(self.X1, widths, [(ctx, 40, 300)], seed=3, level=2,
-                                        threads=1)
+        [(values, work)] = sample_level(self.X1, [(widths, 2, ctx, 40, 300)], seed=3, threads=1)
         batch = run_many(
             self.X1.domain, self.X1.start, widths, master_seed=3, context=ctx, level=2,
             start_index=40, count=300, threads=1,
@@ -476,13 +476,14 @@ class TestSampleLevel:
     @pytest.mark.parametrize("pack", [1, 50, 8192])
     @pytest.mark.parametrize("widths", [(0.1,), (0.1, 0.01)], ids=["plain", "pair"])
     def test_segments_match_a_call_each(self, widths, pack, monkeypatch):
-        """Segments packed into calls of at most ``pack`` walks, in one
-        call, in several or one by one, give each segment's samples as a
-        ``run_many`` call of its own."""
+        """Segments of one width and level packed into calls of at most
+        ``pack`` walks, in one call, in several or one by one, give each
+        segment's samples as a ``run_many`` call of its own. Such a call
+        takes one width row and one level."""
         segments = [(stream_context(9), 0, 30), (stream_context(2), 2 ** 64 - 20, 20),
                     (stream_context(9), 30, 60), (stream_context(4), 7, 1)]
         monkeypatch.setattr(estimator, "_PACK_WALKS", pack)
-        drawn = sample_level(self.X1, widths, segments, seed=6, level=1, threads=1)
+        drawn = sample_level(self.X1, [(widths, 1, *s) for s in segments], seed=6, threads=1)
         assert len(drawn) == len(segments)
         for (context, start, count), (values, work) in zip(segments, drawn):
             batch = run_many(
@@ -495,9 +496,56 @@ class TestSampleLevel:
             np.testing.assert_array_equal(values, want)
             assert work == batch.steps[-1].sum()
 
+    MIXED_WIDTHS = [(0.1,), (0.03,), (0.1, 0.01), (0.1, 0.03), (0.03, 0.01)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        segments=st.lists(
+            st.tuples(
+                st.sampled_from(MIXED_WIDTHS), st.integers(0, 2 ** 16 - 1),
+                st.sampled_from([stream_context(2), stream_context(9), 2 ** 32 - 1]),
+                st.one_of(st.integers(0, 1000), st.just(2 ** 64 - 60)), st.integers(1, 60),
+            ),
+            min_size=1, max_size=6,
+        ),
+        pack=st.one_of(st.integers(1, 200), st.just(8192)),
+        threads=st.sampled_from([1, 2]),
+        fine=st.booleans(),
+    )
+    @example(
+        segments=[((0.1,), 1, stream_context(9), 0, 30),
+                  ((0.1, 0.01), 1, stream_context(2), 2 ** 64 - 20, 20),
+                  ((0.1, 0.01), 3, stream_context(9), 30, 60), ((0.03,), 0, stream_context(4), 7, 1)],
+        pack=50, threads=2, fine=True,
+    )
+    def test_mixed_segments_match_a_call_each(self, segments, pack, threads, fine):
+        """Segments of plain walks and pairs at several widths and levels,
+        packed into calls of at most ``pack`` walks and run at an engine
+        width of 16 (so a call of 32 walks or more splits across two
+        threads), give each segment's samples, fine values and step total
+        as a ``run_many`` call of its own, bit for bit."""
+        with mock.patch.object(estimator, "_PACK_WALKS", pack), \
+                mock.patch.object(walk, "_WIDTH", 16):
+            drawn = sample_level(self.X1, segments, seed=6, threads=threads, fine=fine)
+        assert len(drawn) == len(segments)
+        for (widths, level, context, start, count), got in zip(segments, drawn):
+            batch = run_many(
+                self.X1.domain, self.X1.start, widths, master_seed=6, context=context,
+                level=level, start_index=start, count=count, threads=1,
+            )
+            fines = self.X1.bc(batch.exits[-1])
+            values = fines - self.X1.bc(batch.exits[0]) if len(widths) == 2 else fines
+            np.testing.assert_array_equal(got[0], values)
+            assert got[1] == batch.steps[-1].sum()
+            if fine:
+                np.testing.assert_array_equal(got[2], fines)
+            else:
+                assert len(got) == 2
+
     def test_rejects_empty_segment(self):
         with pytest.raises(ValueError, match="positive"):
-            sample_level(self.X1, (0.1,), [(0, 0, 5), (0, 5, 0)], seed=0, threads=1)
+            sample_level(self.X1, [((0.1,), 0, 0, 0, 5), ((0.1,), 0, 0, 5, 0)], seed=0,
+                         threads=1)
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("widths", [(0.1,), (0.1, 0.01)], ids=["plain", "pair"])
@@ -508,7 +556,7 @@ class TestSampleLevel:
         monkeypatch.setattr(estimator, "_BC_ROWS", 7)
         monkeypatch.setattr(walk, "_WIDTH", 64)
         ctx = stream_context(5)
-        [(values, _)] = sample_level(self.X1, widths, [(ctx, 40, 300)], seed=3, level=2,
+        [(values, _)] = sample_level(self.X1, [(widths, 2, ctx, 40, 300)], seed=3,
                                      threads=threads)
         batch = run_many(
             self.X1.domain, self.X1.start, widths, master_seed=3, context=ctx, level=2,
@@ -536,7 +584,7 @@ class TestSampleLevel:
         beside the exits peaks at 43.3 and 116.7."""
         count = 12 * walk._WIDTH
         peak = traced_peak(
-            lambda: sample_level(problem, widths, [(stream_context(1), 0, count)], seed=4,
+            lambda: sample_level(problem, [(widths, 0, stream_context(1), 0, count)], seed=4,
                                  threads=1)
         )
         assert peak / count <= bound
@@ -553,20 +601,25 @@ class TestLevels:
                            max_size=4),
            pack=st.sampled_from([1, 50, 8192]), seed=st.integers(0, 2 ** 64 - 1))
     def test_split_top_up_equals_one_draw(self, level, counts, pack, seed):
-        """Topping replica ``r``'s level up to ``a`` then to ``b``, its draws
-        packed with the other replicas' into calls of at most ``pack``
-        walks, draws the same samples and step total as one
+        """Topping replica ``r``'s level up to ``a`` then to ``b``, in rounds
+        of their own with the other replicas' draws packed into calls of at
+        most ``pack`` walks, draws the same samples and step total as one
         ``sample_level`` draw of ``b`` from its own context, bit for bit."""
         contexts = [stream_context(9 + r) for r in range(len(counts))]
+
+        def top_up(levels, need):
+            rows = [[n if l == level else 0 for l in range(3)] for n in need]
+            estimator._drive(self.X1, [levels.top_up(rows)], seed, 1)
+
         with mock.patch.object(estimator, "_PACK_WALKS", pack):
-            levels = _Levels(self.X1, self.EPS, seed, contexts, 1)
-            levels.top_up(level, [a for a, _ in counts])
-            levels.top_up(level, [a + extra for a, extra in counts])
-            levels.top_up(level, [a for a, _ in counts])  # already held: draws nothing
+            levels = _Levels(self.X1, self.EPS, seed, contexts)
+            top_up(levels, [a for a, _ in counts])
+            top_up(levels, [a + extra for a, extra in counts])
+            top_up(levels, [a for a, _ in counts])  # already held: draws nothing
         for r, (ctx, (a, extra)) in enumerate(zip(contexts, counts)):
             b = a + extra
             [(values, work)] = sample_level(
-                self.X1, self.WIDTHS[level], [(ctx, 0, b)], seed=seed, level=level, threads=1
+                self.X1, [(self.WIDTHS[level], level, ctx, 0, b)], seed=seed, threads=1
             )
             np.testing.assert_array_equal(levels.values[r][level], values)
             assert levels.work[r] == [work if l == level else 0 for l in range(3)]
@@ -624,6 +677,37 @@ class TestSolveReps:
             [solve(problem, "MEAS", 3e-3, seed=seed, threads=1, context=c) for c in contexts]
         )
 
+    def test_cells_equal_solve_reps_each(self):
+        """Cells of every method and two targets, run in lockstep, give
+        each cell's ``solve_reps`` reports bit for bit."""
+        cells = [(method, eps, [3 * i, 3 * i + 1, 3 * i + 2])
+                 for i, (method, eps) in enumerate(
+                     (m, e) for m in ("WOS", "MLWOS", "MEAS") for e in (0.03, 0.01))]
+        got = solve_cells(SQUARE, cells, 4.0, warmup=50, seed=5, threads=1)
+        assert [self._untimed(r) for r in got] == [
+            self._untimed(solve_reps(SQUARE, method, eps, contexts, 4.0, warmup=50, seed=5,
+                                     threads=1))
+            for method, eps, contexts in cells
+        ]
+
+    def test_step_limit_names_the_first_failing_walk_of_the_round(self, monkeypatch):
+        """Walks of both cells exceed a limit of 3 steps in the first
+        round, which holds the MLWOS pilot's segment and then the WOS
+        pilot's. The error names the first failing pilot walk of the
+        MLWOS cell, with its own context, level and sample index, where
+        the WOS cell alone names one of its own walks."""
+        pilot = run_many(SQUARE.domain, SQUARE.start, [0.16], master_seed=1,
+                         context=stream_context(4, 1), count=100, threads=1)
+        first = int(np.flatnonzero(pilot.steps[-1] > 3)[0])
+        monkeypatch.setattr(walk, "run_many", functools.partial(run_many, max_steps=3))
+        with pytest.raises(StepLimitExceeded) as err:
+            solve_cells(SQUARE, [("MLWOS", 0.01, [4]), ("WOS", 0.1, [2])], 16.0, seed=1,
+                        threads=1)
+        assert err.value.key == walk.StreamKey(1, stream_context(4, 1), 0, first)
+        with pytest.raises(StepLimitExceeded) as err:
+            solve_cells(SQUARE, [("WOS", 0.1, [2])], 16.0, seed=1, threads=1)
+        assert err.value.context == stream_context(2)
+
     def test_rejects_empty_contexts_and_unknown_method(self):
         with pytest.raises(ValueError, match="at least one context"):
             solve_reps(SQUARE, "WOS", 0.1, [])
@@ -649,7 +733,7 @@ class TestSolve:
         the s = 1/3, p = 2 polylog model; its steps count in the work."""
         ladder = default_ladder(SQUARE, 0.02, 4.0)
         [(pilot_v, pilot_work)] = sample_level(
-            SQUARE, ladder.eps[:1], [(stream_context(6, 1), 0, 100)], seed=4, threads=1
+            SQUARE, [(ladder.eps[:1], 0, stream_context(6, 1), 0, 100)], seed=4, threads=1
         )
         m = model_allocation(float(np.var(pilot_v, ddof=1)), pilot_work / 100, ladder)
         want = mlmc_estimate(SQUARE, ladder, m, seed=4, threads=1, context=6)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mlwos import estimator, studies, walk
 from mlwos.geometry import ball_problem, get_problem, square_problem
 from mlwos.studies import (
     fit_loglog,
@@ -106,6 +107,31 @@ class TestVarianceStudy:
         with pytest.raises(ValueError):
             variance_study(SQUARE, eta=2.0, eps0=0.4, num_levels=2, m_per_level=50)
 
+    def test_one_draw_gives_the_per_level_draws(self, monkeypatch):
+        """Every level of every repeat comes from one ``sample_level``
+        call, and the rows are those of one draw per level."""
+        kwargs = dict(eta=2.0, eps0=0.4, num_levels=3, m_per_level=150, seed=3, threads=1, reps=2)
+        draws = []
+        sample_level = estimator.sample_level
+
+        def counted(*args, **kw):
+            draws.append(len(args[1]))
+            return sample_level(*args, **kw)
+
+        monkeypatch.setattr(estimator, "sample_level", counted)
+        rows = variance_study(SQUARE, **kwargs).rows
+        assert draws == [3 * 2]
+        eps = [0.4 / 2.0 ** l for l in range(4)]
+        for level in range(1, 4):
+            segments = [((eps[level - 1], eps[level]), level,
+                         estimator.stream_context(studies._CTX_VARIANCE | (rep * 4 + level)), 0,
+                         150) for rep in range(2)]
+            for rep, (diffs, work) in enumerate(sample_level(SQUARE, segments, seed=3)):
+                row = rows[(level - 1) * 2 + rep]
+                assert (row["level"], row["rep"]) == (level, rep)
+                assert row["variance"] == float(np.var(diffs, ddof=1))
+                assert row["mean_steps"] == work / 150
+
 
 class TestPdivStudy:
     def test_probability_bounded_and_fit(self):
@@ -204,6 +230,31 @@ class TestWorkErrorStudy:
         a = work_error_study(SQUARE, ["MEAS"], [0.05], eta=16.0, reps=5, seed=9, threads=1)
         b = work_error_study(SQUARE, ["MEAS"], [0.05], eta=16.0, reps=5, seed=9, threads=4)
         assert a.to_csv() == b.to_csv()
+
+    def test_cells_share_each_rounds_calls(self, monkeypatch):
+        """The 45 runs of the benchmark's sweep share at most 10 engine
+        calls (32 at this seed when each (method, eps) cell made its own),
+        and every record is that of its cell's own ``solve_reps``, bit for
+        bit."""
+        counts = []
+        run_many = walk.run_many
+
+        def counted(*args, **kwargs):
+            counts.append(kwargs["count"])
+            return run_many(*args, **kwargs)
+
+        monkeypatch.setattr(walk, "run_many", counted)
+        methods, targets = ("WOS", "MLWOS", "MEAS"), (0.1, 0.03, 0.01)
+        res = work_error_study(SQUARE, methods, targets, eta=16.0, reps=5, threads=1)
+        assert len(counts) <= 10
+        monkeypatch.undo()
+        for cell, (method, eps) in enumerate((m, e) for m in sorted(methods) for e in sorted(targets)):
+            contexts = [studies._CTX_WORKERR | (cell * 5 + rep) for rep in range(5)]
+            reports = estimator.solve_reps(SQUARE, method, eps, contexts, 16.0, threads=1)
+            got = [r for r in res.records if (r.method, r.eps_target) == (method, eps)]
+            assert [(r.rep_seed, r.value, r.work) for r in got] == [
+                (rep, report.value, report.total_steps) for rep, report in enumerate(reports)
+            ]
 
     def test_rejects_few_reps(self):
         with pytest.raises(ValueError):

@@ -649,6 +649,85 @@ class TestPerWalkStreams:
             run_many(SQUARE, (1.0, 1.0), [1e-2], master_seed=0, count=4, **{field: value})
 
 
+class TestPerWalkWidthsAndLevels:
+    """``run_many`` with a level per walk and a table of width rows."""
+
+    TABLE = [[0.3, 0.3], [0.3, 0.01], [0.1, 0.001]]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_walk_is_its_own_call(self, threads):
+        """Walks of three levels and three width rows in one call record
+        what a call of their own gives, bit for bit; a plain width ``w``
+        read as the row (w, w) records the same stop twice."""
+        rows = np.repeat([0, 1, 2, 1], [20, 30, 25, 5])
+        level = np.repeat(_u64([0, 3, 2 ** 16 - 1, 3]), [20, 30, 25, 5])
+        start = np.concatenate([np.arange(n, dtype=np.uint64) for n in (20, 30, 25, 5)])
+        with _width(16):
+            mixed = run_many(SQUARE, (1.0, 1.0), self.TABLE, master_seed=9, context=4,
+                             level=level, start_index=start, count=80, threads=threads,
+                             threshold_rows=rows)
+        for i in range(80):
+            own = run_many(SQUARE, (1.0, 1.0), self.TABLE[rows[i]], master_seed=9, context=4,
+                           level=int(level[i]), start_index=int(start[i]), threads=1)
+            np.testing.assert_array_equal(mixed.exits[:, i], own.exits[:, 0])
+            np.testing.assert_array_equal(mixed.steps[:, i], own.steps[:, 0])
+        plain = rows == 0
+        np.testing.assert_array_equal(mixed.exits[0, plain], mixed.exits[1, plain])
+        np.testing.assert_array_equal(mixed.steps[0, plain], mixed.steps[1, plain])
+
+    def test_one_row_table_is_the_row(self):
+        args = dict(master_seed=2, context=1, start_index=7, count=30, threads=1)
+        want = run_many(SQUARE, (1.0, 1.0), [0.1, 0.01], **args)
+        for thresholds, rows in (([[0.1, 0.01]], None), ([[0.1, 0.01]], np.zeros(30, int))):
+            _assert_same(run_many(SQUARE, (1.0, 1.0), thresholds, threshold_rows=rows, **args),
+                         want)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_step_limit_names_a_later_levels_walk(self, threads):
+        """The error names the lowest failing walk with its own level: here
+        a walk of level 5 and width row 1, after level-0 walks that finish
+        within the limit."""
+        pool = run_many(SQUARE, (1.0, 1.0), [0.3], master_seed=3, context=2, count=40)
+        limit = 4
+        short = np.flatnonzero(pool.steps[-1] <= limit)[:4]
+        tail = run_many(SQUARE, (1.0, 1.0), [0.3, 0.001], master_seed=3, context=2, level=5,
+                        start_index=100, count=60)
+        failing = np.flatnonzero(tail.steps[-1] > limit)
+        assert short.size == 4 and failing.size
+        level = np.repeat(_u64([0, 5]), [4, 60])
+        start = np.concatenate([_u64(short), 100 + np.arange(60, dtype=np.uint64)])
+        with _width(16), pytest.raises(StepLimitExceeded) as err:
+            run_many(SQUARE, (1.0, 1.0), [[0.3, 0.3], [0.3, 0.001]], master_seed=3, context=2,
+                     level=level, start_index=start, count=64, max_steps=limit,
+                     threads=threads, threshold_rows=np.repeat([0, 1], [4, 60]))
+        assert err.value.key == StreamKey(3, 2, 5, 100 + int(failing[0]))
+        assert err.value.level == 5
+
+    ROWS = {"threshold_rows": [0, 1, 0, 1]}
+
+    @pytest.mark.parametrize(
+        "thresholds, fields, match",
+        [
+            ([[0.1, 0.01], [math.nan, 0.01]], ROWS, "of row 1 must be finite"),
+            ([[0.1, 0.01], [0.1, math.inf]], ROWS, "of row 1 must be finite"),
+            ([[0.1, 0.01], [0.01, 0.1]], ROWS, "of row 1 must be nonincreasing"),
+            ([[0.1, 0.01], [1.0, 0.01]], ROWS, "1 of row 1 is not below the start distance 1"),
+            ([0.1], {"level": _u64([0, 1, 2 ** 16, 3])}, "level of walk 2 must fit in 16"),
+            ([0.1], {"level": np.array([0, -1, 0, 0])}, "level of walk 1 must not be negative"),
+            ([0.1], {"level": _u64([0, 1, 2])}, "level must be .* count=4"),
+            ([[0.1], [0.2]], {"threshold_rows": [0, 1, 1]}, "threshold_rows must be .* count=4"),
+            ([[0.1], [0.2]], {"threshold_rows": [0, 2, 1, 0]}, "walk 1 names no row"),
+            ([[0.1], [0.2]], {}, "needs threshold_rows"),
+        ],
+        ids=["nan", "inf", "increasing", "start-distance", "level-range", "level-negative",
+             "level-count", "rows-count", "rows-range", "rows-missing"],
+    )
+    def test_bad_per_walk_inputs_rejected(self, thresholds, fields, match):
+        """Each error names the table row or the walk at fault."""
+        with pytest.raises(ValueError, match=match):
+            run_many(SQUARE, (1.0, 1.0), thresholds, master_seed=0, count=4, **fields)
+
+
 class TestWalkInvariants:
     def test_step_size_exactness_and_containment(self):
         pts = run_many(SQUARE, (1.0, 1.0), [1e-3], master_seed=13, trace=True).trace
